@@ -27,9 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from .cache import SpectrumCache
-from .eigenstate_stats import CoefficientSample, build_histogram, kl_divergence
+from .eigenstate_stats import DEFAULT_BINS, build_histogram, kl_divergence
 from .errors import DickeChaosError, EmptyWindow, UsageError
 from .spectral_stats import (
+    DEFAULT_FIT_DEGREE,
     eta_indicator,
     fit_brody,
     spacing_ratios,
@@ -40,7 +41,6 @@ from .sweep import (
     CACHE_ENV_VAR,
     CONFIG_KEYS,
     THRESHOLD_KEYS,
-    Thresholds,
     boundary_from_rows,
     compute_point_data,
     histogram_name,
@@ -49,8 +49,8 @@ from .sweep import (
     read_csv,
     run_sweep,
     sweep_config_from_config,
+    thresholds_from_config,
     validate_config_keys,
-    window_energies,
     write_boundary_csv,
     write_csv,
     write_errors_sidecar,
@@ -112,14 +112,13 @@ def apply_overrides(doc: dict, pairs: list[str]) -> dict:
     return doc
 
 
-def _nan_to_none(meta: dict) -> dict:
-    out = {}
-    for k, v in meta.items():
-        if isinstance(v, float) and math.isnan(v):
-            out[k] = None
-        else:
-            out[k] = v
-    return out
+def _write_point_histogram(out_dir: Path, kind: str, params, hist, meta: dict) -> list[Path]:
+    """Write one point's histogram; its meta leads with kappa and lambda, NaN becomes null."""
+    meta = {"kappa": params.kappa, "lambda": params.lambda_, **meta}
+    meta = {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in meta.items()}
+    path = out_dir / f"{histogram_name(kind, params.kappa, params.lambda_)}.json"
+    write_histogram(hist, path, meta)
+    return [path]
 
 
 def _prepare(doc: dict, args) -> tuple[dict, Path, SpectrumCache | None]:
@@ -137,33 +136,30 @@ def _prepare(doc: dict, args) -> tuple[dict, Path, SpectrumCache | None]:
     return doc, out_dir, cache
 
 
-def _windowed_point(doc: dict, cache, want_vectors: bool):
+def _point(doc: dict, cache, want_vectors: bool):
     params = params_from_config(doc)
-    data = compute_point_data(params, cache=cache, want_vectors=want_vectors)
-    windowed = window_energies(data, params)
-    return params, data, windowed
+    return params, compute_point_data(params, cache=cache, want_vectors=want_vectors)
 
 
 def cmd_spectrum(doc: dict, out_dir: Path, cache) -> list[Path]:
-    params, data, windowed = _windowed_point(doc, cache, want_vectors=False)
+    params, data = _point(doc, cache, want_vectors=False)
+    windowed = data.windowed
     if windowed.size == 0:
         raise EmptyWindow("no eigenvalue inside the energy window")
-    lo, hi = params.energy_window
-    scaled = data.energies / params.n_atoms
-    indices = np.nonzero((scaled >= lo) & (scaled <= hi))[0]
     path = out_dir / (
         f"spectrum_{format(params.kappa, 'g')}_{format(params.lambda_, 'g')}.csv"
     )
     lines = ["index,energy"]
-    lines += [f"{i},{format(e, '.17g')}" for i, e in zip(indices, windowed)]
+    lines += [f"{i},{format(e, '.17g')}" for i, e in zip(data.window_indices, windowed)]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return [path]
 
 
 def cmd_spacing(doc: dict, out_dir: Path, cache) -> list[Path]:
-    params, _, windowed = _windowed_point(doc, cache, want_vectors=False)
-    fit_degree = int(doc.get("fit_degree", 10))
-    bins = int(doc.get("bins", 201))
+    params, data = _point(doc, cache, want_vectors=False)
+    windowed = data.windowed
+    fit_degree = int(doc.get("fit_degree", DEFAULT_FIT_DEGREE))
+    bins = int(doc.get("bins", DEFAULT_BINS))
     spacings = unfold(windowed, fit_degree).spacings
     clean, n_dropped = split_degenerate(spacings)
     eta = beta = math.nan
@@ -174,55 +170,40 @@ def cmd_spacing(doc: dict, out_dir: Path, cache) -> list[Path]:
         pass  # too few clean spacings: histogram still gets written
     spacing_range = (0.0, float(clean.max())) if clean.size else (0.0, 1.0)
     hist = build_histogram(clean, bins, value_range=spacing_range)
-    meta = _nan_to_none({
-        "kappa": params.kappa, "lambda": params.lambda_,
+    return _write_point_histogram(out_dir, "spacing", params, hist, {
         "eta": eta, "beta": beta,
         "n_levels": int(windowed.size), "n_degenerate_dropped": n_dropped,
         "fit_degree": fit_degree,
     })
-    path = out_dir / f"{histogram_name('spacing', params.kappa, params.lambda_)}.json"
-    write_histogram(hist, path, meta)
-    return [path]
 
 
 def cmd_ratio(doc: dict, out_dir: Path, cache) -> list[Path]:
-    params, _, windowed = _windowed_point(doc, cache, want_vectors=False)
-    bins = int(doc.get("bins", 201))
+    params, data = _point(doc, cache, want_vectors=False)
+    windowed = data.windowed
+    bins = int(doc.get("bins", DEFAULT_BINS))
     ratios, n_dropped_pairs = spacing_ratios(windowed)
     _, n_degenerate = split_degenerate(np.diff(windowed))
     mean_r = float(ratios.mean()) if ratios.size else math.nan
     hist = build_histogram(ratios, bins, value_range=(0.0, 1.0))
-    meta = _nan_to_none({
-        "kappa": params.kappa, "lambda": params.lambda_,
+    return _write_point_histogram(out_dir, "ratio", params, hist, {
         "mean_r": mean_r, "n_ratios": int(ratios.size),
         "n_degenerate_dropped": n_degenerate,
         "n_dropped_pairs": n_dropped_pairs,
     })
-    path = out_dir / f"{histogram_name('ratio', params.kappa, params.lambda_)}.json"
-    write_histogram(hist, path, meta)
-    return [path]
 
 
 def cmd_eigstats(doc: dict, out_dir: Path, cache) -> list[Path]:
-    params, data, windowed = _windowed_point(doc, cache, want_vectors=True)
-    bins = int(doc.get("bins", 201))
-    if data.mid_values is None or data.mid_values.size == 0:
+    params, data = _point(doc, cache, want_vectors=True)
+    bins = int(doc.get("bins", DEFAULT_BINS))
+    sample = data.sample
+    if sample is None:
         raise EmptyWindow("no eigenstate inside the mid-spectrum window")
-    sample = CoefficientSample(
-        values=data.mid_values, dim=data.dim,
-        n_states=data.mid_values.size // data.dim,
-        c_min=float(data.mid_values.min()), c_max=float(data.mid_values.max()),
-    )
     d_kl = kl_divergence(sample, bins=bins)
     hist = build_histogram(sample.values, bins, value_range=(sample.c_min, sample.c_max))
-    meta = _nan_to_none({
-        "kappa": params.kappa, "lambda": params.lambda_,
+    return _write_point_histogram(out_dir, "coeff", params, hist, {
         "d_kl": d_kl, "dim": sample.dim, "n_states": sample.n_states,
         "c_min": sample.c_min, "c_max": sample.c_max,
     })
-    path = out_dir / f"{histogram_name('coeff', params.kappa, params.lambda_)}.json"
-    write_histogram(hist, path, meta)
-    return [path]
 
 
 def cmd_sweep(doc: dict, out_dir: Path, cache) -> list[Path]:
@@ -246,8 +227,7 @@ def cmd_boundary(doc: dict, out_dir: Path, cache) -> list[Path]:
         rows = read_csv(csv_path)
     except FileNotFoundError as exc:
         raise UsageError(f"no sweep results at {csv_path}") from exc
-    thr_doc = doc.get("thresholds", {})
-    thresholds = Thresholds(**{k: float(v) for k, v in thr_doc.items()})
+    thresholds = thresholds_from_config(doc)
     written = []
     for indicator, points in boundary_from_rows(rows, thresholds).items():
         path = out_dir / f"boundary_{indicator}.csv"

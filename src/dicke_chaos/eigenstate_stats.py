@@ -15,9 +15,11 @@ import numpy as np
 from scipy.stats import norm
 
 from .errors import DegenerateRange, EmptySample, EmptyWindow, MissingVectors
-from .spectrum import SpectralDataset
+from .spectrum import SpectralDataset, _window_mask
 
 DEFAULT_BINS = 201
+#: Fewest histogram bins :func:`kl_divergence` accepts.
+MIN_BINS = 10
 
 
 @dataclass(frozen=True)
@@ -57,6 +59,11 @@ class CoefficientSample:
     c_min: float
     c_max: float
 
+    @classmethod
+    def pool(cls, values: np.ndarray, dim: int) -> CoefficientSample:
+        """Sample of the pooled states' dim-component columns, laid end to end (non-empty)."""
+        return cls(values, dim, values.size // dim, float(values.min()), float(values.max()))
+
 
 def collect_coefficients(
     ds: SpectralDataset,
@@ -77,20 +84,12 @@ def collect_coefficients(
     """
     if ds.coefficients is None:
         raise MissingVectors("dataset carries no eigenvector coefficients")
-    lo, hi = window if window is not None else ds.params.mid_window
-    scaled = ds.energies / ds.params.n_atoms
-    sel = (scaled >= lo) & (scaled <= hi)
+    window = window if window is not None else ds.params.mid_window
+    sel = _window_mask(ds.energies, ds.params.n_atoms, window)
     if not sel.any():
-        raise EmptyWindow(f"no retained state with E/N in [{lo}, {hi}]")
+        raise EmptyWindow(f"no retained state with E/N in [{window[0]}, {window[1]}]")
     cols = ds.coefficients[:, sel]
-    values = np.ascontiguousarray(cols.T).ravel()
-    return CoefficientSample(
-        values=values,
-        dim=int(ds.coefficients.shape[0]),
-        n_states=int(sel.sum()),
-        c_min=float(values.min()),
-        c_max=float(values.max()),
-    )
+    return CoefficientSample.pool(np.ascontiguousarray(cols.T).ravel(), ds.coefficients.shape[0])
 
 
 def goe_coefficient_pdf(c, dim: int):
@@ -146,8 +145,8 @@ def kl_divergence(sample: CoefficientSample, bins: int = DEFAULT_BINS) -> float:
     DegenerateRange
         If c_max - c_min is below 1e-12.
     """
-    if bins < 10:
-        raise ValueError(f"bins must be >= 10, got {bins}")
+    if bins < MIN_BINS:
+        raise ValueError(f"bins must be >= {MIN_BINS}, got {bins}")
     if sample.values.size == 0:
         raise EmptySample("coefficient sample is empty")
     if sample.c_max - sample.c_min < 1e-12:

@@ -30,6 +30,9 @@ DEGENERACY_REL_TOL = 1e-10
 #: Minimum sample size for distribution-level statistics (eta, Brody fit).
 MIN_SPACINGS = 100
 
+#: Degree of the unfolding polynomial unless a config sets ``fit_degree``.
+DEFAULT_FIT_DEGREE = 10
+
 
 def poisson_pdf(s):
     """Spacing density exp(-s) of uncorrelated (integrable) levels."""
@@ -95,7 +98,7 @@ class ChaosIndicators:
     converged_fraction: float
 
 
-def unfold(energies, fit_degree: int = 10) -> UnfoldedSpectrum:
+def unfold(energies, fit_degree: int = DEFAULT_FIT_DEGREE) -> UnfoldedSpectrum:
     """Unfold a spectrum by a global polynomial fit of the counting function.
 
     The cumulative staircase N(E) = #{k : E_k <= E} is fitted by a least-squares

@@ -1,4 +1,8 @@
-"""Dense diagonalization, energy-window filtering and Fock-cutoff convergence."""
+"""Dense diagonalization, energy-window filtering and Fock-cutoff convergence.
+
+Every E/N window in the package is cut by ``_window_mask``: the analysis window
+here and the mid window in ``eigenstate_stats.collect_coefficients``.
+"""
 
 from __future__ import annotations
 
@@ -64,6 +68,13 @@ def diagonalize(h: HamiltonianMatrix, want_vectors: bool = False) -> EigenDecomp
     return EigenDecomposition(energies=w, vectors=v, basis=h.basis)
 
 
+def _window_mask(energies: np.ndarray, n_atoms: int, window: tuple[float, float]) -> np.ndarray:
+    """Boolean mask of the energies whose E/N lies in the closed ``window``."""
+    lo, hi = window
+    scaled = energies / n_atoms
+    return (scaled >= lo) & (scaled <= hi)
+
+
 @dataclass
 class SpectralDataset:
     """Eigenpairs restricted to the analysis energy window.
@@ -89,13 +100,13 @@ def filter_energy_window(eig: EigenDecomposition, params: ModelParams) -> Spectr
     EmptyWindow
         If no eigenvalue falls inside; the window or the cutoff is mis-set.
     """
-    lo, hi = params.energy_window
-    scaled = eig.energies / params.n_atoms
-    sel = (scaled >= lo) & (scaled <= hi)
+    sel = _window_mask(eig.energies, params.n_atoms, params.energy_window)
     if not sel.any():
+        lo, hi = params.energy_window
+        n = params.n_atoms
         raise EmptyWindow(
             f"no eigenvalue with E/N in [{lo}, {hi}] "
-            f"(spectrum spans [{scaled.min():.4g}, {scaled.max():.4g}])"
+            f"(spectrum spans [{eig.energies.min() / n:.4g}, {eig.energies.max() / n:.4g}])"
         )
     idx = np.nonzero(sel)[0]
     coeff = eig.vectors[:, idx] if eig.vectors is not None else None

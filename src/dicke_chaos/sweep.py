@@ -1,15 +1,17 @@
 """(kappa, lambda) grid sweeps with caching, parallel workers and file output.
 
-Grid points are independent work units executed in spawned worker processes;
-results are gathered and sorted (kappa ascending, lambda ascending) before
-anything is written, so the worker count never changes a single output byte.
-A failed point turns into a row of NaN sentinels plus an entry in the errors
-sidecar instead of aborting the sweep.
+Every point, for sweeps and the CLI alike, comes from :func:`compute_point_data`:
+the library's filter_energy_window, tail_weights and collect_coefficients behind
+the spectrum cache.  Grid points are independent work units executed in spawned
+worker processes; results are gathered and sorted (kappa ascending, lambda
+ascending) before anything is written, so the worker count never changes a
+single output byte.  A failed point turns into a row of NaN sentinels plus an
+entry in the errors sidecar instead of aborting the sweep.
 """
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
 import json
 import math
 import multiprocessing
@@ -27,13 +29,16 @@ from .cache import (
 )
 from .eigenstate_stats import (
     DEFAULT_BINS,
+    MIN_BINS,
     CoefficientSample,
     Histogram,
+    collect_coefficients,
     kl_divergence,
 )
-from .errors import DickeChaosError, OutputUnwritable, UsageError
+from .errors import DickeChaosError, EmptyWindow, OutputUnwritable, UsageError
 from .model import ModelParams, Parity, build_hamiltonian
 from .spectral_stats import (
+    DEFAULT_FIT_DEGREE,
     BoundaryPoint,
     ChaosIndicators,
     chaos_boundary,
@@ -44,7 +49,14 @@ from .spectral_stats import (
     split_degenerate,
     unfold,
 )
-from .spectrum import DEFAULT_TAIL_TOL, DEFAULT_TAIL_WIDTH, diagonalize
+from .spectrum import (
+    DEFAULT_TAIL_TOL,
+    DEFAULT_TAIL_WIDTH,
+    EigenDecomposition,
+    diagonalize,
+    filter_energy_window,
+    tail_weights,
+)
 
 CSV_HEADER = "kappa,lambda,dim,n_levels,eta,beta,mean_r,d_kl,converged_fraction,n_degenerate_dropped"
 
@@ -74,7 +86,7 @@ class SweepConfig:
     base: ModelParams
     kappa_grid: tuple[float, ...]
     lambda_grid: tuple[float, ...]
-    fit_degree: int = 10
+    fit_degree: int = DEFAULT_FIT_DEGREE
     bins: int = DEFAULT_BINS
     thresholds: Thresholds = field(default_factory=Thresholds)
     workers: int = 1
@@ -90,6 +102,10 @@ class SweepConfig:
                 raise ValueError(f"{name} must be strictly ascending")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.fit_degree < 0:
+            raise ValueError(f"fit_degree must be >= 0, got {self.fit_degree}")
+        if self.bins < MIN_BINS:
+            raise ValueError(f"bins must be >= {MIN_BINS}, got {self.bins}")
 
 
 @dataclass
@@ -118,12 +134,31 @@ class SweepResultRow:
 
 @dataclass
 class PointData:
-    """Raw arrays for one parameter point, from the cache or a fresh solve."""
+    """One parameter point as the sweep and the CLI read it.
 
-    dim: int
+    ``tail`` and ``sample`` are None without vectors; ``sample`` also when the
+    mid window holds no state.
+    """
+
     energies: np.ndarray                 # full spectrum, ascending
-    mid_values: np.ndarray | None        # pooled mid-window components
-    tail: np.ndarray | None              # per-windowed-state Fock-tail weights
+    window_indices: np.ndarray           # positions of the E/N-windowed levels
+    tail: np.ndarray | None              # Fock-tail weights per windowed level
+    sample: CoefficientSample | None     # pooled mid-window components
+
+    @property
+    def windowed(self) -> np.ndarray:
+        """Eigenvalues inside the analysis window, ascending."""
+        return self.energies[self.window_indices]
+
+
+def _point_data(params: ModelParams, energies: np.ndarray, tail: np.ndarray | None,
+                mid: np.ndarray | None) -> PointData:
+    """The record for one point; a cache hit and a fresh solve both end here."""
+    window = np.zeros(0, dtype=np.intp)
+    with contextlib.suppress(EmptyWindow):
+        window = filter_energy_window(EigenDecomposition(energies, None, []), params).window_indices
+    sample = CoefficientSample.pool(mid, energies.size) if mid is not None and mid.size else None
+    return PointData(energies, window, tail, sample)
 
 
 def compute_point_data(
@@ -136,53 +171,38 @@ def compute_point_data(
 
     Consults the cache first; on a miss builds and diagonalizes the even-parity
     block and stores the results.  Cached payloads are exact float64 copies, so
-    a warm run reproduces a cold run bit for bit.
+    a warm run reproduces a cold run bit for bit; empty windows store empty arrays.
     """
     sector = Parity.EVEN
     if cache is not None:
         energies = cache.load(params, sector, KIND_ENERGIES)
         if energies is not None:
             if not want_vectors:
-                return PointData(dim=energies.size, energies=energies,
-                                 mid_values=None, tail=None)
+                return _point_data(params, energies, None, None)
             mid = cache.load(params, sector, KIND_MID_COEFFS)
             tail = cache.load(params, sector, KIND_TAIL_WEIGHTS, tail_width=tail_width)
             if mid is not None and tail is not None:
-                return PointData(dim=energies.size, energies=energies,
-                                 mid_values=mid, tail=tail)
+                return _point_data(params, energies, tail, mid)
 
-    h = build_hamiltonian(params, sector)
-    eig = diagonalize(h, want_vectors=want_vectors)
-    energies = eig.energies
+    eig = diagonalize(build_hamiltonian(params, sector), want_vectors=want_vectors)
     mid = tail = None
     if want_vectors:
-        lo, hi = params.energy_window
-        scaled = energies / params.n_atoms
-        sel = np.nonzero((scaled >= lo) & (scaled <= hi))[0]
-        coeff = eig.vectors[:, sel]
-        ns = np.fromiter((s.n for s in eig.basis), dtype=np.int64, count=len(eig.basis))
-        tail = np.sum(coeff[ns >= params.n_cutoff - tail_width] ** 2, axis=0)
-        mlo, mhi = params.mid_window
-        mid_sel = (scaled[sel] >= mlo) & (scaled[sel] <= mhi)
-        mid = np.ascontiguousarray(coeff[:, mid_sel].T).ravel()
+        mid = tail = np.zeros(0)  # what an empty analysis or mid window stores
+        with contextlib.suppress(EmptyWindow):
+            ds = filter_energy_window(eig, params)
+            tail = tail_weights(ds, tail_width)
+            mid = collect_coefficients(ds).values
     if cache is not None:
-        cache.store(params, sector, KIND_ENERGIES, energies)
+        cache.store(params, sector, KIND_ENERGIES, eig.energies)
         if want_vectors:
             cache.store(params, sector, KIND_MID_COEFFS, mid)
             cache.store(params, sector, KIND_TAIL_WEIGHTS, tail, tail_width=tail_width)
-    return PointData(dim=energies.size, energies=energies, mid_values=mid, tail=tail)
-
-
-def window_energies(data: PointData, params: ModelParams) -> np.ndarray:
-    """Eigenvalues of one point restricted to the closed analysis window."""
-    lo, hi = params.energy_window
-    scaled = data.energies / params.n_atoms
-    return data.energies[(scaled >= lo) & (scaled <= hi)]
+    return _point_data(params, eig.energies, tail, mid)
 
 
 def compute_point(
     params: ModelParams,
-    fit_degree: int = 10,
+    fit_degree: int = DEFAULT_FIT_DEGREE,
     bins: int = DEFAULT_BINS,
     cache: SpectrumCache | None = None,
     tail_width: int = DEFAULT_TAIL_WIDTH,
@@ -202,8 +222,8 @@ def compute_point(
         row.error = f"{type(exc).__name__}: {exc}"
         return row
 
-    row.dim = data.dim
-    windowed = window_energies(data, params)
+    row.dim = data.energies.size
+    windowed = data.windowed
     row.n_levels = int(windowed.size)
     if windowed.size == 0:
         notes.append("energy window empty")
@@ -227,20 +247,12 @@ def compute_point(
             row.mean_r = mean_ratio(ratios)
         except DickeChaosError as exc:
             notes.append(f"mean_r: {exc}")
-        if data.tail is not None and data.tail.size:
-            row.converged_fraction = float(np.mean(data.tail < tail_tol))
-        if data.mid_values is None or data.mid_values.size == 0:
+        row.converged_fraction = float(np.mean(data.tail < tail_tol))
+        if data.sample is None:
             notes.append("d_kl: mid window empty")
         else:
-            sample = CoefficientSample(
-                values=data.mid_values,
-                dim=data.dim,
-                n_states=data.mid_values.size // data.dim,
-                c_min=float(data.mid_values.min()),
-                c_max=float(data.mid_values.max()),
-            )
             try:
-                row.d_kl = kl_divergence(sample, bins=bins)
+                row.d_kl = kl_divergence(data.sample, bins=bins)
             except DickeChaosError as exc:
                 notes.append(f"d_kl: {exc}")
     if notes:
@@ -279,6 +291,13 @@ def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
 # file output
 
 
+def _write_text(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OutputUnwritable(f"cannot write {path}: {exc}") from exc
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -292,10 +311,7 @@ def write_csv(rows: Sequence[SweepResultRow], path: str | Path) -> None:
             _fmt(r.eta), _fmt(r.beta), _fmt(r.mean_r), _fmt(r.d_kl),
             _fmt(r.converged_fraction), str(r.n_degenerate_dropped),
         )))
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OutputUnwritable(f"cannot write {path}: {exc}") from exc
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def read_csv(path: str | Path) -> list[SweepResultRow]:
@@ -324,10 +340,7 @@ def write_errors_sidecar(rows: Sequence[SweepResultRow], path: str | Path) -> bo
     ]
     if not entries:
         return False
-    try:
-        Path(path).write_text(json.dumps(entries, indent=2) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OutputUnwritable(f"cannot write {path}: {exc}") from exc
+    _write_text(path, json.dumps(entries, indent=2) + "\n")
     return True
 
 
@@ -339,10 +352,7 @@ def write_histogram(hist: Histogram, path: str | Path, meta: Mapping | None = No
         "counts": [int(x) for x in hist.counts],
         "meta": dict(meta or {}),
     }
-    try:
-        Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OutputUnwritable(f"cannot write {path}: {exc}") from exc
+    _write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def read_histogram(path: str | Path) -> tuple[Histogram, dict]:
@@ -394,10 +404,7 @@ def write_boundary_csv(points: Sequence[BoundaryPoint], path: str | Path) -> Non
     for p in points:
         lam = _fmt(p.lambda_star) if p.lambda_star is not None else "nan"
         lines.append(f"{_fmt(p.kappa)},{lam},{'true' if p.crossed else 'false'}")
-    try:
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OutputUnwritable(f"cannot write {path}: {exc}") from exc
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -458,44 +465,30 @@ def params_from_config(doc: Mapping) -> ModelParams:
         raise UsageError(str(exc)) from exc
 
 
+def thresholds_from_config(doc: Mapping) -> Thresholds:
+    """Boundary thresholds from a config document; bad values are usage errors."""
+    try:
+        return Thresholds(**{k: float(v) for k, v in doc.get("thresholds", {}).items()})
+    except (TypeError, ValueError) as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def sweep_config_from_config(doc: Mapping) -> SweepConfig:
     """Full sweep configuration from a config document."""
     for key in ("kappa_grid", "lambda_grid"):
         if key not in doc:
             raise UsageError(f"config key {key} is required for sweeps")
-    thr_doc = doc.get("thresholds", {})
     try:
-        thresholds = Thresholds(**{k: float(v) for k, v in thr_doc.items()})
         return SweepConfig(
             base=params_from_config(doc),
             kappa_grid=tuple(float(x) for x in doc["kappa_grid"]),
             lambda_grid=tuple(float(x) for x in doc["lambda_grid"]),
-            fit_degree=int(doc.get("fit_degree", 10)),
+            fit_degree=int(doc.get("fit_degree", DEFAULT_FIT_DEGREE)),
             bins=int(doc.get("bins", DEFAULT_BINS)),
-            thresholds=thresholds,
+            thresholds=thresholds_from_config(doc),
             workers=int(doc.get("workers", 1)),
             output_dir=Path(doc.get("output_dir", "out")),
             cache_dir=Path(doc["cache_dir"]) if doc.get("cache_dir") else None,
         )
     except (TypeError, ValueError) as exc:
         raise UsageError(str(exc)) from exc
-
-
-def config_to_dict(config: SweepConfig) -> dict:
-    """Inverse of sweep_config_from_config, for tests and provenance dumps."""
-    return {
-        "omega": config.base.omega,
-        "omega0": config.base.omega0,
-        "j": config.base.j,
-        "n_cutoff": config.base.n_cutoff,
-        "energy_window": list(config.base.energy_window),
-        "mid_window": list(config.base.mid_window),
-        "kappa_grid": list(config.kappa_grid),
-        "lambda_grid": list(config.lambda_grid),
-        "fit_degree": config.fit_degree,
-        "bins": config.bins,
-        "thresholds": dataclasses.asdict(config.thresholds),
-        "workers": config.workers,
-        "output_dir": str(config.output_dir),
-        "cache_dir": str(config.cache_dir) if config.cache_dir else None,
-    }

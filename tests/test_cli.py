@@ -7,7 +7,7 @@ import pytest
 
 from dicke_chaos.cli import apply_overrides, main
 from dicke_chaos.errors import UsageError
-from dicke_chaos.sweep import read_csv, read_histogram
+from dicke_chaos.sweep import SweepResultRow, read_csv, read_histogram, write_csv
 
 
 @pytest.fixture()
@@ -91,6 +91,21 @@ class TestExitCodes:
         ])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_invalid_boundary_threshold_is_usage_error(self, config_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        write_csv([SweepResultRow(kappa=0.0, lambda_=0.3)], out / "sweep.csv")
+        code = main(["boundary", "--config", str(config_path),
+                     "--set", "thresholds.eta_max=1.5"])
+        assert code == 1
+        assert "eta_max" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["bins=5", "fit_degree=-1"])
+    def test_invalid_sweep_setting_is_usage_error(self, config_path, tmp_path, override):
+        code = main(["sweep", "--config", str(config_path), "--set", override])
+        assert code == 1
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 class TestPointCommands:

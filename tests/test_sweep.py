@@ -264,6 +264,11 @@ class TestConfig:
         with pytest.raises(UsageError):
             sweep_config_from_config({"kappa_grid": [0.5, 0.0], "lambda_grid": [0.1]})
 
+    @pytest.mark.parametrize("key, value", [("bins", 5), ("fit_degree", -1)])
+    def test_bad_bins_or_fit_degree_rejected(self, key, value):
+        with pytest.raises(UsageError):
+            sweep_config_from_config({"kappa_grid": [0.0], "lambda_grid": [0.1], key: value})
+
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
             Thresholds(mean_r_min=1.5)
