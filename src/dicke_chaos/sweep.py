@@ -1,12 +1,13 @@
 """(kappa, lambda) grid sweeps with caching, parallel workers and file output.
 
-Every point, for sweeps and the CLI alike, comes from :func:`compute_point_data`:
-the library's filter_energy_window, tail_weights and collect_coefficients behind
-the spectrum cache.  Grid points are independent work units executed in spawned
-worker processes; results are gathered and sorted (kappa ascending, lambda
-ascending) before anything is written, so the worker count never changes a
-single output byte.  A failed point turns into a row of NaN sentinels plus an
-entry in the errors sidecar instead of aborting the sweep.
+Every point, for sweeps and the CLI alike, comes from :func:`compute_point_data`
+(the library's filter_energy_window, tail_weights and collect_coefficients behind
+the spectrum cache) and :func:`level_statistics`.  Grid points are independent
+work units executed in spawned worker processes; results are gathered and sorted
+(kappa ascending, lambda ascending) before anything is written, so the worker
+count never changes a single output byte.  A failed point turns into a row of
+NaN sentinels plus an entry in the errors sidecar instead of aborting the sweep.
+The config schema and its one reader, :func:`read_config`, live here too.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .spectral_stats import (
 from .spectrum import (
     DEFAULT_TAIL_TOL,
     DEFAULT_TAIL_WIDTH,
-    EigenDecomposition,
+    _window_mask,
     diagonalize,
     filter_energy_window,
     tail_weights,
@@ -81,11 +82,12 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything a sweep needs; lambda_/kappa on ``base`` are ignored."""
+    """Everything a run needs, as :func:`read_config` reads it from a config document;
+    point commands use ``base`` at its kappa and lambda_, a sweep scans the grids."""
 
     base: ModelParams
-    kappa_grid: tuple[float, ...]
-    lambda_grid: tuple[float, ...]
+    kappa_grid: tuple[float, ...] = ()
+    lambda_grid: tuple[float, ...] = ()
     fit_degree: int = DEFAULT_FIT_DEGREE
     bins: int = DEFAULT_BINS
     thresholds: Thresholds = field(default_factory=Thresholds)
@@ -96,8 +98,6 @@ class SweepConfig:
     def __post_init__(self) -> None:
         for name in ("kappa_grid", "lambda_grid"):
             grid = getattr(self, name)
-            if len(grid) == 0:
-                raise ValueError(f"{name} must not be empty")
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be strictly ascending")
         if self.workers < 1:
@@ -154,19 +154,13 @@ class PointData:
 def _point_data(params: ModelParams, energies: np.ndarray, tail: np.ndarray | None,
                 mid: np.ndarray | None) -> PointData:
     """The record for one point; a cache hit and a fresh solve both end here."""
-    window = np.zeros(0, dtype=np.intp)
-    with contextlib.suppress(EmptyWindow):
-        window = filter_energy_window(EigenDecomposition(energies, None, []), params).window_indices
+    window = np.nonzero(_window_mask(energies, params.n_atoms, params.energy_window))[0]
     sample = CoefficientSample.pool(mid, energies.size) if mid is not None and mid.size else None
     return PointData(energies, window, tail, sample)
 
 
-def compute_point_data(
-    params: ModelParams,
-    cache: SpectrumCache | None = None,
-    want_vectors: bool = True,
-    tail_width: int = DEFAULT_TAIL_WIDTH,
-) -> PointData:
+def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
+                       want_vectors: bool = True) -> PointData:
     """Obtain the spectrum (and, if wanted, eigenvector summaries) for one point.
 
     Consults the cache first; on a miss builds and diagonalizes the even-parity
@@ -180,7 +174,7 @@ def compute_point_data(
             if not want_vectors:
                 return _point_data(params, energies, None, None)
             mid = cache.load(params, sector, KIND_MID_COEFFS)
-            tail = cache.load(params, sector, KIND_TAIL_WEIGHTS, tail_width=tail_width)
+            tail = cache.load(params, sector, KIND_TAIL_WEIGHTS, tail_width=DEFAULT_TAIL_WIDTH)
             if mid is not None and tail is not None:
                 return _point_data(params, energies, tail, mid)
 
@@ -190,24 +184,57 @@ def compute_point_data(
         mid = tail = np.zeros(0)  # what an empty analysis or mid window stores
         with contextlib.suppress(EmptyWindow):
             ds = filter_energy_window(eig, params)
-            tail = tail_weights(ds, tail_width)
+            tail = tail_weights(ds, DEFAULT_TAIL_WIDTH)
             mid = collect_coefficients(ds).values
     if cache is not None:
         cache.store(params, sector, KIND_ENERGIES, eig.energies)
         if want_vectors:
             cache.store(params, sector, KIND_MID_COEFFS, mid)
-            cache.store(params, sector, KIND_TAIL_WEIGHTS, tail, tail_width=tail_width)
+            cache.store(params, sector, KIND_TAIL_WEIGHTS, tail, tail_width=DEFAULT_TAIL_WIDTH)
     return _point_data(params, eig.energies, tail, mid)
 
 
-def compute_point(
-    params: ModelParams,
-    fit_degree: int = DEFAULT_FIT_DEGREE,
-    bins: int = DEFAULT_BINS,
-    cache: SpectrumCache | None = None,
-    tail_width: int = DEFAULT_TAIL_WIDTH,
-    tail_tol: float = DEFAULT_TAIL_TOL,
-) -> SweepResultRow:
+@dataclass
+class LevelStatistics:
+    """Spacing and ratio indicators of one windowed spectrum; what cannot be formed
+    stays NaN or None, and ``errors`` keeps why under "unfold", "eta", "beta" or "mean_r"."""
+
+    n_degenerate_dropped: int                 # raw spacings below the degeneracy tolerance
+    spacings: np.ndarray | None = None        # unfolded
+    ratios: np.ndarray | None = None
+    n_dropped_pairs: int = 0
+    eta: float = math.nan
+    beta: float = math.nan
+    mean_r: float = math.nan
+    errors: dict[str, DickeChaosError] = field(default_factory=dict)
+
+
+def level_statistics(windowed: np.ndarray, fit_degree: int) -> LevelStatistics:
+    """Eta, Brody beta and <r> of a windowed spectrum, for sweeps and point commands alike."""
+    stats = LevelStatistics(split_degenerate(np.diff(windowed))[1])
+    try:
+        stats.spacings = unfold(windowed, fit_degree).spacings
+    except DickeChaosError as exc:
+        stats.errors["unfold"] = exc
+    else:
+        try:
+            stats.eta = eta_indicator(stats.spacings)
+        except DickeChaosError as exc:
+            stats.errors["eta"] = exc
+        try:
+            stats.beta, _ = fit_brody(stats.spacings)
+        except DickeChaosError as exc:
+            stats.errors["beta"] = exc
+    try:
+        stats.ratios, stats.n_dropped_pairs = spacing_ratios(windowed)
+        stats.mean_r = mean_ratio(stats.ratios)
+    except DickeChaosError as exc:
+        stats.errors["mean_r"] = exc
+    return stats
+
+
+def compute_point(params: ModelParams, fit_degree: int = DEFAULT_FIT_DEGREE,
+                  bins: int = DEFAULT_BINS, cache: SpectrumCache | None = None) -> SweepResultRow:
     """All four chaos indicators for a single (kappa, lambda) point.
 
     Indicator-level failures (too few levels, empty windows, ...) leave that
@@ -216,8 +243,7 @@ def compute_point(
     row = SweepResultRow(kappa=params.kappa, lambda_=params.lambda_)
     notes: list[str] = []
     try:
-        data = compute_point_data(params, cache=cache, want_vectors=True,
-                                  tail_width=tail_width)
+        data = compute_point_data(params, cache=cache, want_vectors=True)
     except Exception as exc:  # failed point -> NaN row, sweep continues
         row.error = f"{type(exc).__name__}: {exc}"
         return row
@@ -228,26 +254,11 @@ def compute_point(
     if windowed.size == 0:
         notes.append("energy window empty")
     else:
-        _, row.n_degenerate_dropped = split_degenerate(np.diff(windowed))
-        try:
-            spac = unfold(windowed, fit_degree).spacings
-        except DickeChaosError as exc:
-            notes.append(f"unfold: {exc}")
-        else:
-            try:
-                row.eta = eta_indicator(spac)
-            except DickeChaosError as exc:
-                notes.append(f"eta: {exc}")
-            try:
-                row.beta, _ = fit_brody(spac)
-            except DickeChaosError as exc:
-                notes.append(f"beta: {exc}")
-        try:
-            ratios, _ = spacing_ratios(windowed)
-            row.mean_r = mean_ratio(ratios)
-        except DickeChaosError as exc:
-            notes.append(f"mean_r: {exc}")
-        row.converged_fraction = float(np.mean(data.tail < tail_tol))
+        stats = level_statistics(windowed, fit_degree)
+        row.eta, row.beta, row.mean_r = stats.eta, stats.beta, stats.mean_r
+        row.n_degenerate_dropped = stats.n_degenerate_dropped
+        notes += [f"{name}: {exc}" for name, exc in stats.errors.items()]
+        row.converged_fraction = float(np.mean(data.tail < DEFAULT_TAIL_TOL))
         if data.sample is None:
             notes.append("d_kl: mid window empty")
         else:
@@ -411,15 +422,46 @@ def write_boundary_csv(points: Sequence[BoundaryPoint], path: str | Path) -> Non
 # JSON configuration
 
 THRESHOLD_KEYS = {"eta_max", "beta_min", "mean_r_min"}
-CONFIG_KEYS = {
-    "omega", "omega0", "j", "n_cutoff", "energy_window", "mid_window",
-    "lambda", "kappa", "kappa_grid", "lambda_grid", "fit_degree", "bins",
-    "thresholds", "workers", "output_dir", "cache_dir",
+
+
+def _number(value, kind: type = float):
+    """A finite number or numeric string as ``kind``; bools, and fractions for int, are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise TypeError(f"expected a number, got {value!r}")
+    number = float(value)
+    if not math.isfinite(number) or not (kind is float or number.is_integer()):
+        expected = "an integer" if kind is int else "a finite number"
+        raise ValueError(f"expected {expected}, got {value!r}")
+    return kind(number)
+
+
+def _numbers(value, length: int | None = None) -> tuple[float, ...]:
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        raise TypeError(f"expected {length or 'a list of'} numbers, got {value!r}")
+    return tuple(_number(x) for x in value)
+
+
+def _path(value) -> Path:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a path string, got {value!r}")
+    return Path(value)
+
+
+#: The config schema: each key a document may hold and the converter that types its value.
+CONFIG_SCHEMA = {
+    **dict.fromkeys(("omega", "omega0", "j", "lambda", "kappa"), _number),
+    **dict.fromkeys(("n_cutoff", "fit_degree", "bins", "workers"), lambda v: _number(v, int)),
+    **dict.fromkeys(("energy_window", "mid_window"), lambda v: _numbers(v, 2)),
+    **dict.fromkeys(("kappa_grid", "lambda_grid"), _numbers),
+    "thresholds": lambda v: Thresholds(**{k: _number(x) for k, x in v.items()}),
+    "output_dir": _path,
+    "cache_dir": lambda v: None if v == "" else _path(v),
 }
+MODEL_KEYS = ("omega", "omega0", "j", "n_cutoff", "energy_window", "mid_window", "lambda", "kappa")
 
 
 def load_config(path: str | Path) -> dict:
-    """Load and key-validate a JSON config document."""
+    """Load and key-check a JSON config document; :func:`read_config` reads its values."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -428,67 +470,52 @@ def load_config(path: str | Path) -> dict:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"config {path} must hold a JSON object")
-    validate_config_keys(doc)
+    check_config_keys(doc)
     return doc
 
 
-def validate_config_keys(doc: Mapping) -> None:
-    for key in doc:
-        if key not in CONFIG_KEYS:
-            raise UsageError(f"unknown config key: {key}")
-    thr = doc.get("thresholds")
-    if thr is not None:
-        if not isinstance(thr, Mapping):
-            raise UsageError("thresholds must be an object")
-        for key in thr:
-            if key not in THRESHOLD_KEYS:
-                raise UsageError(f"unknown config key: thresholds.{key}")
+def check_config_keys(doc: Mapping) -> None:
+    """Reject a key the schema does not know, at the top level or under thresholds."""
+    thresholds = doc.get("thresholds", {})
+    if not isinstance(thresholds, Mapping):
+        raise UsageError("thresholds must be an object")
+    unknown = [k for k in doc if k not in CONFIG_SCHEMA]
+    unknown += [f"thresholds.{k}" for k in thresholds if k not in THRESHOLD_KEYS]
+    if unknown:
+        raise UsageError(f"unknown config key: {unknown[0]}")
 
 
-def params_from_config(doc: Mapping) -> ModelParams:
-    """Single-point model parameters from a config document."""
-    kwargs = {}
-    for key in ("omega", "omega0", "j", "kappa"):
-        if key in doc:
-            kwargs[key] = float(doc[key])
-    if "lambda" in doc:
-        kwargs["lambda_"] = float(doc["lambda"])
-    if "n_cutoff" in doc:
-        kwargs["n_cutoff"] = int(doc["n_cutoff"])
-    for key in ("energy_window", "mid_window"):
-        if key in doc:
-            lo, hi = doc[key]
-            kwargs[key] = (float(lo), float(hi))
+def read_config(doc: Mapping) -> SweepConfig:
+    """The one reader of config values: each is typed once, and any malformed or
+    out-of-range value raises a UsageError naming its key.  Defaults and range
+    rules are those of ModelParams, SweepConfig and Thresholds."""
+    check_config_keys(doc)
+    values = {}
+    for key, raw in doc.items():
+        try:
+            values[key] = CONFIG_SCHEMA[key](raw)
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"config key {key}: {exc}") from exc
+    model = {"lambda_" if k == "lambda" else k: values.pop(k) for k in MODEL_KEYS if k in values}
     try:
-        return ModelParams(**kwargs)
+        return SweepConfig(base=ModelParams(**model), **values)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
 
-def thresholds_from_config(doc: Mapping) -> Thresholds:
-    """Boundary thresholds from a config document; bad values are usage errors."""
-    try:
-        return Thresholds(**{k: float(v) for k, v in doc.get("thresholds", {}).items()})
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+def check_grids(config: SweepConfig) -> SweepConfig:
+    """``config`` if it describes a sweep, that is, gives both grids."""
+    for name in ("kappa_grid", "lambda_grid"):
+        if not getattr(config, name):
+            raise UsageError(f"config key {name} is required for sweeps")
+    return config
+
+
+def params_from_config(doc: Mapping) -> ModelParams:
+    """Single-point model parameters from a config document."""
+    return read_config(doc).base
 
 
 def sweep_config_from_config(doc: Mapping) -> SweepConfig:
     """Full sweep configuration from a config document."""
-    for key in ("kappa_grid", "lambda_grid"):
-        if key not in doc:
-            raise UsageError(f"config key {key} is required for sweeps")
-    try:
-        return SweepConfig(
-            base=params_from_config(doc),
-            kappa_grid=tuple(float(x) for x in doc["kappa_grid"]),
-            lambda_grid=tuple(float(x) for x in doc["lambda_grid"]),
-            fit_degree=int(doc.get("fit_degree", DEFAULT_FIT_DEGREE)),
-            bins=int(doc.get("bins", DEFAULT_BINS)),
-            thresholds=thresholds_from_config(doc),
-            workers=int(doc.get("workers", 1)),
-            output_dir=Path(doc.get("output_dir", "out")),
-            cache_dir=Path(doc["cache_dir"]) if doc.get("cache_dir") else None,
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageError(str(exc)) from exc
+    return check_grids(read_config(doc))

@@ -107,6 +107,30 @@ class TestExitCodes:
         assert code == 1
         assert not (tmp_path / "out" / "sweep.csv").exists()
 
+    @pytest.mark.parametrize("command, override", [
+        ("spacing", "fit_degree=-1"),
+        ("ratio", "bins=0"),
+        ("eigstats", "bins=5"),
+        ("spacing", "bins=5"),
+        ("spacing", "fit_degree=abc"),
+        ("spectrum", "j=abc"),
+        ("spectrum", "lambda=null"),
+        ("spectrum", "energy_window=5"),
+        ("spectrum", "cache_dir=5"),
+        ("spectrum", "n_cutoff=2.5"),
+        ("spectrum", "n_cutoff=true"),
+        ("sweep", "n_cutoff=30.7"),
+        ("sweep", "fit_degree=2.5"),
+        ("sweep", "workers=1.9"),
+    ])
+    def test_malformed_setting_is_usage_error(self, config_path, tmp_path, capsys,
+                                              command, override):
+        code = main([command, "--config", str(config_path), "--set", override])
+        assert code == 1
+        assert override.partition("=")[0] in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
 
 class TestPointCommands:
     def test_spectrum_writes_windowed_energies(self, config_path, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """One point pipeline: the sweep's point data agrees with the library route."""
 
 import json
+import math
 
 import pytest
 
@@ -18,6 +19,7 @@ from dicke_chaos import (
     kl_divergence,
 )
 from dicke_chaos.cli import main
+from dicke_chaos.sweep import read_histogram
 
 # chaotic, regular and degenerate (integer spectrum) points
 POINTS = [(0.9, 0.0), (0.3, 0.7), (0.0, 0.0)]
@@ -63,3 +65,21 @@ def test_cold_and_warm_cache_write_identical_files(tmp_path):
         entries.append(sorted(p.name for p in cache_dir.iterdir()))
     assert outputs[0] == outputs[1]
     assert entries[0] == entries[1] and len(entries[0]) == 12
+
+
+@pytest.mark.parametrize("lam, kappa", POINTS)
+def test_point_commands_report_the_sweep_row(tmp_path, lam, kappa):
+    """spacing and ratio share compute_point's indicator code, so their meta match its row."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"j": 6.0, "n_cutoff": 80, "lambda": lam, "kappa": kappa}))
+    for command in ("spacing", "ratio"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+    row = compute_point(ModelParams(j=6.0, n_cutoff=80, lambda_=lam, kappa=kappa))
+    name = f"{format(kappa, 'g')}_{format(lam, 'g')}.json"
+    _, spacing = read_histogram(tmp_path / f"hist_spacing_{name}")
+    _, ratio = read_histogram(tmp_path / f"hist_ratio_{name}")
+    reported = [spacing["eta"], spacing["beta"], ratio["mean_r"], ratio["n_degenerate_dropped"]]
+    reported = [math.nan if v is None else v for v in reported]  # NaN is written as null
+    expected = [row.eta, row.beta, row.mean_r, row.n_degenerate_dropped]
+    # the commands solve for eigenvalues only, the row with vectors: last digits may differ
+    assert reported == pytest.approx(expected, rel=1e-12, nan_ok=True)

@@ -269,6 +269,19 @@ class TestConfig:
         with pytest.raises(UsageError):
             sweep_config_from_config({"kappa_grid": [0.0], "lambda_grid": [0.1], key: value})
 
+    @pytest.mark.parametrize("value", [80, 80.0, "80"])
+    def test_integral_values_accepted(self, value):
+        params = params_from_config({"j": 6.0, "n_cutoff": value})
+        assert params.n_cutoff == 80 and isinstance(params.n_cutoff, int)
+
+    @pytest.mark.parametrize("key, value", [
+        ("workers", 1.9), ("n_cutoff", True), ("bins", "abc"), ("output_dir", 5),
+        ("kappa", float("nan")), ("mid_window", [1.0]),
+    ])
+    def test_malformed_value_rejected_by_key(self, key, value):
+        with pytest.raises(UsageError, match=key):
+            sweep_config_from_config({"kappa_grid": [0.0], "lambda_grid": [0.1], key: value})
+
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
             Thresholds(mean_r_min=1.5)
