@@ -87,7 +87,7 @@ class SpectrumCache:
         Raises
         ------
         CacheFormatError
-            If an existing file has the wrong magic, version or key.
+            If an existing file has the wrong magic, version, key or length.
         """
         key_json = self._key_json(params, sector, kind, tail_width)
         path = self._path(key_json)
@@ -105,8 +105,13 @@ class SpectrumCache:
         off += keylen
         if stored_key != key_json:
             raise CacheFormatError(f"{path}: key mismatch")
-        (count,) = struct.unpack_from("<Q", blob, off)
+        # A file cut inside the count field is shorter than off + 8: it fails the check too.
+        count = int.from_bytes(blob[off : off + 8], "little")
         off += 8
+        if len(blob) != off + 8 * count:
+            raise CacheFormatError(
+                f"{path}: truncated or over-long ({len(blob)} bytes, expected {off + 8 * count})"
+            )
         data = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
         return data.astype(np.float64, copy=True)
 

@@ -35,6 +35,7 @@ from .spectral_stats import split_degenerate
 from .sweep import (
     CACHE_ENV_VAR,
     SweepConfig,
+    _write_text,
     boundary_from_rows,
     check_config_keys,
     check_grids,
@@ -137,7 +138,7 @@ def cmd_spectrum(config: SweepConfig, cache) -> list[Path]:
     )
     lines = ["index,energy"]
     lines += [f"{i},{format(e, '.17g')}" for i, e in zip(data.window_indices, windowed)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
     return [path]
 
 

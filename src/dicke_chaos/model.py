@@ -92,45 +92,28 @@ class ModelParams:
         return int(round(2.0 * self.j))
 
 
-@dataclass(frozen=True)
-class BasisState:
-    """One Fock-Dicke product label |n, m> with its parity sector."""
-
-    n: int
-    m: float
-    parity: Parity
-
-
-def state_parity(j: float, n: int, m: float) -> Parity:
-    """Parity sector of |n, m>: even iff j + m + n is an even integer."""
-    # j + m is always an integer (both integers, or both half-integers).
-    t = int(round(j + m)) + n
-    return Parity.EVEN if t % 2 == 0 else Parity.ODD
-
-
-def enumerate_basis(params: ModelParams, sector: Parity | None) -> list[BasisState]:
-    """Enumerate the Fock-Dicke basis of one parity sector.
+def enumerate_basis(params: ModelParams, sector: Parity | None) -> np.recarray:
+    """Enumerate the Fock-Dicke basis of one parity sector as an (n, m) record array.
 
     Ordering is deterministic: n ascending, then m ascending.  ``sector=None``
-    yields the full unprojected basis in the same ordering.
+    yields the full unprojected basis in the same ordering.  A label is even
+    iff j + m + n is even; with m = k - j that is k + n.
     """
     twoj = params.n_atoms
-    states = []
-    for n in range(params.n_cutoff + 1):
-        for k in range(twoj + 1):
-            m = k - params.j
-            p = Parity.EVEN if (k + n) % 2 == 0 else Parity.ODD
-            if sector is None or p is sector:
-                states.append(BasisState(n=n, m=m, parity=p))
-    return states
+    n, k = np.divmod(np.arange((params.n_cutoff + 1) * (twoj + 1), dtype=np.int64), twoj + 1)
+    if sector is not None:
+        keep = (n + k) % 2 == (0 if sector is Parity.EVEN else 1)
+        n, k = n[keep], k[keep]
+    return np.rec.fromarrays((n, k - params.j), dtype=[("n", np.int64), ("m", np.float64)])
 
 
-def hamiltonian_element(params: ModelParams, bra: BasisState, ket: BasisState) -> float:
+def hamiltonian_element(params: ModelParams, bra, ket) -> float:
     """Single matrix element <bra|H|ket> evaluated directly from the selection rule.
 
-    Exactly zero unless bra == ket (in n, m) or |n'-n| = 1 and |m'-m| = 1.
-    Kept scalar and independent of the vectorized assembly so the two routes
-    can be checked against each other.
+    ``bra`` and ``ket`` are any labels with ``.n`` and ``.m``, such as records
+    of :func:`enumerate_basis`.  Exactly zero unless bra == ket (in n, m) or
+    |n'-n| = 1 and |m'-m| = 1.  Kept scalar and independent of the vectorized
+    assembly so the two routes can be checked against each other.
     """
     n_atoms = float(params.n_atoms)
     j = params.j
@@ -155,7 +138,7 @@ class HamiltonianMatrix:
 
     dim: int
     entries: np.ndarray
-    basis: list[BasisState]
+    basis: np.recarray
 
 
 def build_hamiltonian(
@@ -186,8 +169,7 @@ def build_hamiltonian(
     j = params.j
     nc = params.n_cutoff
 
-    n = np.fromiter((s.n for s in basis), dtype=np.int64, count=dim)
-    m = np.fromiter((s.m for s in basis), dtype=np.float64, count=dim)
+    n, m = basis.n, basis.m
     k = np.rint(m + j).astype(np.int64)
 
     # Index lookup (n, k) -> basis position; -1 marks labels outside the sector.

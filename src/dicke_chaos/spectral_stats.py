@@ -86,18 +86,6 @@ class UnfoldedSpectrum:
     fit_degree: int
 
 
-@dataclass(frozen=True)
-class ChaosIndicators:
-    """The four chaos diagnostics of one parameter point, NaN where undefined."""
-
-    eta: float
-    beta: float
-    mean_r: float
-    d_kl: float
-    n_levels: int
-    converged_fraction: float
-
-
 def unfold(energies, fit_degree: int = DEFAULT_FIT_DEGREE) -> UnfoldedSpectrum:
     """Unfold a spectrum by a global polynomial fit of the counting function.
 

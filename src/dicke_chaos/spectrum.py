@@ -12,7 +12,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import ConvergenceFailure, EmptyWindow, MissingVectors
-from .model import BasisState, HamiltonianMatrix, ModelParams
+from .model import HamiltonianMatrix, ModelParams
 
 #: Number of top Fock layers inspected by the truncation diagnostic.
 DEFAULT_TAIL_WIDTH = 20
@@ -32,7 +32,7 @@ class EigenDecomposition:
 
     energies: np.ndarray
     vectors: np.ndarray | None
-    basis: list[BasisState]
+    basis: np.recarray
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -88,7 +88,7 @@ class SpectralDataset:
     energies: np.ndarray
     coefficients: np.ndarray | None
     window_indices: np.ndarray
-    basis: list[BasisState]
+    basis: np.recarray
     converged: np.ndarray | None = field(default=None)
 
 
@@ -123,8 +123,7 @@ def tail_weights(ds: SpectralDataset, tail_width: int = DEFAULT_TAIL_WIDTH) -> n
     """Per-retained-state probability weight on the top ``tail_width`` Fock layers."""
     if ds.coefficients is None:
         raise MissingVectors("dataset carries no eigenvector coefficients")
-    ns = np.fromiter((s.n for s in ds.basis), dtype=np.int64, count=len(ds.basis))
-    mask = ns >= ds.params.n_cutoff - tail_width
+    mask = ds.basis.n >= ds.params.n_cutoff - tail_width
     return np.sum(ds.coefficients[mask] ** 2, axis=0)
 
 

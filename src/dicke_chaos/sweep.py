@@ -41,7 +41,6 @@ from .model import ModelParams, Parity, build_hamiltonian
 from .spectral_stats import (
     DEFAULT_FIT_DEGREE,
     BoundaryPoint,
-    ChaosIndicators,
     chaos_boundary,
     eta_indicator,
     fit_brody,
@@ -123,13 +122,6 @@ class SweepResultRow:
     converged_fraction: float = math.nan
     n_degenerate_dropped: int = 0
     error: str | None = None
-
-    @property
-    def indicators(self) -> ChaosIndicators:
-        return ChaosIndicators(
-            eta=self.eta, beta=self.beta, mean_r=self.mean_r, d_kl=self.d_kl,
-            n_levels=self.n_levels, converged_fraction=self.converged_fraction,
-        )
 
 
 @dataclass
@@ -326,20 +318,32 @@ def write_csv(rows: Sequence[SweepResultRow], path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> list[SweepResultRow]:
-    """Parse a sweep.csv back into rows (exact float round-trip)."""
+    """Parse a sweep.csv back into rows (exact float round-trip).
+
+    Raises
+    ------
+    UsageError
+        If the header is wrong, or a row, named by its line number, is malformed.
+    """
     text = Path(path).read_text(encoding="utf-8")
-    lines = [ln for ln in text.splitlines() if ln]
-    if not lines or lines[0] != CSV_HEADER:
+    lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), 1) if ln]
+    if not lines or lines[0][1] != CSV_HEADER:
         raise UsageError(f"{path} is not a sweep result file (bad header)")
+    n_fields = CSV_HEADER.count(",") + 1
     rows = []
-    for ln in lines[1:]:
+    for lineno, ln in lines[1:]:
         f = ln.split(",")
-        rows.append(SweepResultRow(
-            kappa=float(f[0]), lambda_=float(f[1]), dim=int(f[2]),
-            n_levels=int(f[3]), eta=float(f[4]), beta=float(f[5]),
-            mean_r=float(f[6]), d_kl=float(f[7]),
-            converged_fraction=float(f[8]), n_degenerate_dropped=int(f[9]),
-        ))
+        try:
+            if len(f) != n_fields:
+                raise ValueError(f"expected {n_fields} fields, got {len(f)}")
+            rows.append(SweepResultRow(
+                kappa=float(f[0]), lambda_=float(f[1]), dim=int(f[2]),
+                n_levels=int(f[3]), eta=float(f[4]), beta=float(f[5]),
+                mean_r=float(f[6]), d_kl=float(f[7]),
+                converged_fraction=float(f[8]), n_degenerate_dropped=int(f[9]),
+            ))
+        except ValueError as exc:
+            raise UsageError(f"{path}, line {lineno}: malformed sweep row: {exc}") from exc
     return rows
 
 

@@ -194,7 +194,7 @@ def test_criterion_4_basis_parity():
     # full-basis assembly: even <-> odd blocks exactly zero
     params = ModelParams(lambda_=0.8, kappa=0.6, j=4.0, n_cutoff=20)
     h = build_hamiltonian(params, None)
-    even = np.array([s.parity is Parity.EVEN for s in h.basis])
+    even = (np.rint(params.j + h.basis.m).astype(np.int64) + h.basis.n) % 2 == 0
     assert np.all(h.entries[np.ix_(even, ~even)] == 0.0)
     assert np.all(h.entries[np.ix_(~even, even)] == 0.0)
     assert time.time() - start < 60.0

@@ -101,6 +101,28 @@ class TestExitCodes:
         assert code == 1
         assert "eta_max" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", [
+        "0,0.3,527",                              # short row
+        "0,0.3,527,300,abc,0.5,0.5,0.1,1,0",      # non-numeric field
+    ])
+    def test_malformed_sweep_row_is_usage_error(self, config_path, tmp_path, capsys, row):
+        out = tmp_path / "out"
+        out.mkdir()
+        write_csv([SweepResultRow(kappa=0.0, lambda_=0.3)], out / "sweep.csv")
+        with open(out / "sweep.csv", "a") as fh:
+            fh.write(row + "\n")
+        code = main(["boundary", "--config", str(config_path)])
+        assert code == 1
+        assert "sweep.csv, line 3" in capsys.readouterr().err
+        assert not list(out.glob("boundary_*.csv"))
+
+    def test_unwritable_spectrum_is_runtime_error(self, config_path, tmp_path, capsys):
+        (tmp_path / "out" / "spectrum_0_0.9.csv").mkdir(parents=True)
+        code = main(["spectrum", "--config", str(config_path),
+                     "--set", "lambda=0.9", "--set", "kappa=0"])
+        assert code == 2
+        assert "OutputUnwritable: cannot write" in capsys.readouterr().err
+
     @pytest.mark.parametrize("override", ["bins=5", "fit_degree=-1"])
     def test_invalid_sweep_setting_is_usage_error(self, config_path, tmp_path, override):
         code = main(["sweep", "--config", str(config_path), "--set", override])

@@ -1,18 +1,20 @@
 """Basis enumeration, matrix elements and Hamiltonian assembly."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 
 from dicke_chaos import (
-    BasisState,
     ModelParams,
     Parity,
     build_hamiltonian,
     enumerate_basis,
     hamiltonian_element,
-    state_parity,
 )
 from dicke_chaos.errors import AllocationTooLarge
+
+Label = namedtuple("Label", "n m")
 
 
 def brute_force_labels(j, n_cutoff, even):
@@ -91,40 +93,43 @@ class TestEnumeration:
         keys = [(s.n, s.m) for s in full]
         assert keys == sorted(keys)
 
-    def test_parity_field_matches_operator_eigenvalue(self):
-        p = ModelParams(j=2.5, n_cutoff=9)
-        for s in enumerate_basis(p, None):
-            exponent = int(round(p.j + s.m)) + s.n
-            expected = Parity.EVEN if (-1) ** exponent == 1 else Parity.ODD
-            assert s.parity is expected
-            assert state_parity(p.j, s.n, s.m) is expected
+    @pytest.mark.parametrize("j, n_cutoff", [(2.5, 9), (2.0, 7)])
+    @pytest.mark.parametrize("sector", [Parity.EVEN, Parity.ODD, None])
+    def test_labels_match_brute_force_oracle(self, j, n_cutoff, sector):
+        # membership, order and parity of every label, against the independent oracle
+        even = brute_force_labels(j, n_cutoff, even=True)
+        odd = brute_force_labels(j, n_cutoff, even=False)
+        expected = {Parity.EVEN: even, Parity.ODD: odd, None: sorted(even + odd)}[sector]
+        basis = enumerate_basis(ModelParams(j=j, n_cutoff=n_cutoff), sector)
+        assert basis.n.dtype == np.int64 and basis.m.dtype == np.float64
+        assert list(zip(basis.n, basis.m)) == expected
 
 
 class TestMatrixElement:
     def test_diagonal_hand_value(self):
         # n=2, m=-16: 2 + (-16) + 0.7 * 256 / 32 = -8.4
         p = ModelParams(omega=1.0, omega0=1.0, kappa=0.7, lambda_=0.3, j=16.0)
-        s = BasisState(n=2, m=-16.0, parity=Parity.EVEN)
+        s = Label(n=2, m=-16.0)
         assert hamiltonian_element(p, s, s) == pytest.approx(-8.4, abs=1e-12)
 
     def test_off_diagonal_hand_value(self):
         # (0.1/sqrt(32)) * sqrt(1) * sqrt(16*17 - (-16)(-15)) = 0.1
         p = ModelParams(lambda_=0.1, j=16.0)
-        bra = BasisState(n=1, m=-15.0, parity=Parity.EVEN)
-        ket = BasisState(n=0, m=-16.0, parity=Parity.EVEN)
+        bra = Label(n=1, m=-15.0)
+        ket = Label(n=0, m=-16.0)
         assert hamiltonian_element(p, bra, ket) == pytest.approx(0.1, abs=1e-15)
 
     def test_zero_coupling_kills_off_diagonal(self):
         p = ModelParams(lambda_=0.0, j=16.0)
-        bra = BasisState(n=1, m=-15.0, parity=Parity.EVEN)
-        ket = BasisState(n=0, m=-16.0, parity=Parity.EVEN)
+        bra = Label(n=1, m=-15.0)
+        ket = Label(n=0, m=-16.0)
         assert hamiltonian_element(p, bra, ket) == 0.0
 
     @pytest.mark.parametrize("dn,dm", [(1, 0), (0, 1), (2, 2), (1, 2), (2, 1), (0, 2)])
     def test_selection_rule_zeros(self, dn, dm):
         p = ModelParams(lambda_=0.9, kappa=0.4, j=4.0, n_cutoff=20)
-        ket = BasisState(n=3, m=-1.0, parity=Parity.EVEN)
-        bra = BasisState(n=3 + dn, m=-1.0 + dm, parity=Parity.EVEN)
+        ket = Label(n=3, m=-1.0)
+        bra = Label(n=3 + dn, m=-1.0 + dm)
         assert hamiltonian_element(p, bra, ket) == 0.0
 
     def test_hermiticity_of_scalar_route(self):
@@ -174,7 +179,7 @@ class TestBuildHamiltonian:
     def test_cross_parity_blocks_exactly_zero(self):
         p = ModelParams(lambda_=0.9, kappa=0.6, j=4.0, n_cutoff=20)
         h = build_hamiltonian(p, None)
-        even = np.array([s.parity is Parity.EVEN for s in h.basis])
+        even = (np.rint(p.j + h.basis.m).astype(np.int64) + h.basis.n) % 2 == 0
         cross = h.entries[np.ix_(even, ~even)]
         assert np.all(cross == 0.0)
 

@@ -205,6 +205,24 @@ class TestSpectrumCache:
         with pytest.raises(CacheFormatError):
             cache.load(p, Parity.EVEN, KIND_ENERGIES)
 
+    @pytest.mark.parametrize("cut", ["end of key", "inside count", "inside payload", "extra byte"])
+    def test_wrong_length_raises(self, tmp_path, cut):
+        cache = SpectrumCache(tmp_path)
+        p = ModelParams(j=1.0, n_cutoff=8)
+        cache.store(p, Parity.EVEN, KIND_ENERGIES, np.array([1.0, 2.0]))
+        path = next(tmp_path.glob("*.spec"))
+        blob = path.read_bytes()
+        payload = len(blob) - 16  # two float64 values follow the count
+        blob = {
+            "end of key": blob[: payload - 8],
+            "inside count": blob[: payload - 4],
+            "inside payload": blob[: payload + 12],
+            "extra byte": blob + b"\0",
+        }[cut]
+        path.write_bytes(blob)
+        with pytest.raises(CacheFormatError, match=path.name):
+            cache.load(p, Parity.EVEN, KIND_ENERGIES)
+
     def test_empty_array_roundtrip(self, tmp_path):
         cache = SpectrumCache(tmp_path)
         p = ModelParams(j=1.0, n_cutoff=8)

@@ -79,14 +79,6 @@ class TestComputePoint:
         assert math.isnan(row.eta) and math.isnan(row.mean_r) and math.isnan(row.d_kl)
         assert "window" in row.error
 
-    def test_indicator_view(self):
-        row = SweepResultRow(kappa=0.0, lambda_=0.5, eta=0.1, beta=0.9,
-                             mean_r=0.53, d_kl=0.4, n_levels=100,
-                             converged_fraction=1.0)
-        ind = row.indicators
-        assert (ind.eta, ind.beta, ind.mean_r, ind.d_kl) == (0.1, 0.9, 0.53, 0.4)
-        assert ind.n_levels == 100 and ind.converged_fraction == 1.0
-
 
 class TestRunSweep:
     def test_rows_ordered_and_complete(self, tmp_path):
