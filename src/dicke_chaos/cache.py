@@ -5,7 +5,7 @@ File layout (all integers little-endian):
     8 bytes   magic  b"DKCHSPC1"
     uint32    format version (currently 1)
     uint32    byte length of the key document
-    ...       key document, canonical JSON (parameters + payload kind)
+    ...       key document, canonical JSON (parameters, payload kind, solver)
     uint64    element count
     ...       float64 array, little-endian
 
@@ -25,12 +25,14 @@ import numpy as np
 
 from .errors import CacheFormatError
 from .model import ModelParams, Parity
+from .spectrum import VALUES_DRIVER, VECTORS_DRIVER
 
 MAGIC = b"DKCHSPC1"
 VERSION = 1
 
 #: Payload kinds stored per parameter point.
-KIND_ENERGIES = "energies"          # full-spectrum eigenvalues, ascending
+KIND_ENERGIES = "energies"          # full-spectrum eigenvalues of the vector solve, ascending
+KIND_EIGVALS = "eigvals"            # full-spectrum eigenvalues of the values-only solve, ascending
 KIND_MID_COEFFS = "mid_coeffs"      # pooled mid-window eigenvector components
 KIND_TAIL_WEIGHTS = "tail_weights"  # per-windowed-state Fock-tail weights
 
@@ -40,10 +42,13 @@ def cache_key(params: ModelParams, sector: Parity | None, kind: str,
     """Canonical key document for one payload.
 
     Only the fields the payload actually depends on are included, so e.g.
-    energies are reused across window changes.
+    energies are reused across window changes.  The LAPACK driver that made the
+    payload is one of them: the two solves differ in the last bits, so their
+    eigenvalues never share an entry.
     """
     doc = {
         "kind": kind,
+        "solver": VALUES_DRIVER if kind == KIND_EIGVALS else VECTORS_DRIVER,
         "omega": float(params.omega),
         "omega0": float(params.omega0),
         "lambda": float(params.lambda_),

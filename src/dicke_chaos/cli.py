@@ -1,14 +1,5 @@
 """Command-line front end: single-point diagnostics and (kappa, lambda) sweeps.
 
-Subcommands
------------
-spectrum   write the windowed eigenvalues of one parameter point
-spacing    write the P(s) histogram with eta and the Brody exponent
-ratio      write the P(r) histogram with the mean spacing ratio
-eigstats   write the P(c) histogram with the KL divergence from GOE
-sweep      run a full (kappa, lambda) grid and write sweep.csv
-boundary   post-process a sweep.csv into chaos-boundary curves
-
 All subcommands read one JSON config (--config) and accept repeatable
 --set KEY=VALUE overrides; --out and --workers take precedence over --set,
 which takes precedence over the file.  The config schema (each key's type,
@@ -30,7 +21,7 @@ from pathlib import Path
 
 from .cache import SpectrumCache
 from .eigenstate_stats import build_histogram, kl_divergence
-from .errors import EmptyWindow, UsageError
+from .errors import EmptyWindow, NonRectangularGrid, UsageError
 from .spectral_stats import split_degenerate
 from .sweep import (
     CACHE_ENV_VAR,
@@ -63,14 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dicke-chaos", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("spectrum", "write windowed eigenvalues for one (kappa, lambda) point"),
-        ("spacing", "write P(s) histogram plus (eta, beta)"),
-        ("ratio", "write P(r) histogram plus mean ratio"),
-        ("eigstats", "write P(c) histogram plus KL divergence"),
-        ("sweep", "run the configured (kappa, lambda) grid"),
-        ("boundary", "extract boundary curves from an existing sweep.csv"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -196,24 +180,27 @@ def cmd_sweep(config: SweepConfig, cache) -> list[Path]:
 def cmd_boundary(config: SweepConfig, cache) -> list[Path]:
     csv_path = config.output_dir / "sweep.csv"
     try:
-        rows = read_csv(csv_path)
+        curves = boundary_from_rows(read_csv(csv_path), config.thresholds)
     except FileNotFoundError as exc:
         raise UsageError(f"no sweep results at {csv_path}") from exc
+    except NonRectangularGrid as exc:
+        raise UsageError(f"{csv_path}: {exc}") from exc
     written = []
-    for indicator, points in boundary_from_rows(rows, config.thresholds).items():
+    for indicator, points in curves.items():
         path = config.output_dir / f"boundary_{indicator}.csv"
         write_boundary_csv(points, path)
         written.append(path)
     return written
 
 
+#: Each subcommand's handler and help text; the parser and ``main`` both read this table.
 _COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "spacing": cmd_spacing,
-    "ratio": cmd_ratio,
-    "eigstats": cmd_eigstats,
-    "sweep": cmd_sweep,
-    "boundary": cmd_boundary,
+    "spectrum": (cmd_spectrum, "write windowed eigenvalues for one (kappa, lambda) point"),
+    "spacing": (cmd_spacing, "write P(s) histogram plus (eta, beta)"),
+    "ratio": (cmd_ratio, "write P(r) histogram plus mean ratio"),
+    "eigstats": (cmd_eigstats, "write P(c) histogram plus KL divergence"),
+    "sweep": (cmd_sweep, "run the configured (kappa, lambda) grid"),
+    "boundary": (cmd_boundary, "extract boundary curves from an existing sweep.csv"),
 }
 
 
@@ -223,7 +210,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
         doc = apply_overrides(load_config(args.config), args.set)
         config, cache = _prepare(doc, args)
-        written = _COMMANDS[args.command](config, cache)
+        handler, _ = _COMMANDS[args.command]
+        written = handler(config, cache)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

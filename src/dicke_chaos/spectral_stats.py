@@ -118,6 +118,13 @@ def unfold(energies, fit_degree: int = DEFAULT_FIT_DEGREE) -> UnfoldedSpectrum:
     return UnfoldedSpectrum(levels=levels, spacings=np.diff(levels), fit_degree=fit_degree)
 
 
+def _nondegenerate(s: np.ndarray) -> np.ndarray:
+    """Mask of the spacings in the non-empty ``s`` at or above DEGENERACY_REL_TOL
+    times their mean; all False when the mean spacing is not positive."""
+    mean = s.mean()
+    return s >= DEGENERACY_REL_TOL * mean if mean > 0 else np.zeros(s.shape, dtype=bool)
+
+
 def split_degenerate(spacings) -> tuple[np.ndarray, int]:
     """Separate spacings from exact degeneracies.
 
@@ -128,10 +135,7 @@ def split_degenerate(spacings) -> tuple[np.ndarray, int]:
     s = np.asarray(spacings, dtype=float)
     if s.size == 0:
         return s, 0
-    mean = s.mean()
-    if mean <= 0:
-        return s[:0], int(s.size)
-    keep = s >= DEGENERACY_REL_TOL * mean
+    keep = _nondegenerate(s)
     return s[keep], int(s.size - keep.sum())
 
 
@@ -225,9 +229,8 @@ def spacing_ratios(energies) -> tuple[np.ndarray, int]:
     s = np.diff(e)
     if np.any(s < 0):
         raise ValueError("energies must be ascending")
-    mean = s.mean()
-    tol = DEGENERACY_REL_TOL * mean if mean > 0 else np.inf
-    ok = (s[:-1] >= tol) & (s[1:] >= tol)
+    keep = _nondegenerate(s)
+    ok = keep[:-1] & keep[1:]
     n_dropped = int(ok.size - ok.sum())
     delta = s[1:][ok] / s[:-1][ok]
     return np.minimum(delta, 1.0 / delta), n_dropped

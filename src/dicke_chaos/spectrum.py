@@ -18,6 +18,9 @@ from .model import HamiltonianMatrix, ModelParams
 DEFAULT_TAIL_WIDTH = 20
 #: A state is converged when its probability weight in the tail stays below this.
 DEFAULT_TAIL_TOL = 1e-6
+#: LAPACK drivers of the two dense solves, eigenvalues only and with vectors; their
+#: eigenvalues differ in the last bits, so the cache key names the driver.
+VALUES_DRIVER, VECTORS_DRIVER = "evr", "evd"
 
 
 @dataclass
@@ -35,18 +38,20 @@ class EigenDecomposition:
     basis: np.recarray
 
 
-def _fix_phases(vectors: np.ndarray) -> np.ndarray:
+def _fix_phases(vectors: np.ndarray) -> None:
+    """Flip, in place, each column whose largest-magnitude component is negative."""
     lead = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0] = 1.0
-    return vectors * signs
+    vectors *= signs
 
 
 def diagonalize(h: HamiltonianMatrix, want_vectors: bool = False) -> EigenDecomposition:
     """Full eigendecomposition of a dense symmetric Hamiltonian block.
 
     Uses LAPACK via scipy: relatively-robust-representation for values only,
-    divide-and-conquer when vectors are needed.
+    divide-and-conquer when vectors are needed.  Both return the eigenvalues
+    ascending, so their order is kept as it comes.
 
     Raises
     ------
@@ -55,16 +60,13 @@ def diagonalize(h: HamiltonianMatrix, want_vectors: bool = False) -> EigenDecomp
     """
     try:
         if want_vectors:
-            w, v = scipy.linalg.eigh(h.entries, driver="evd")
+            w, v = scipy.linalg.eigh(h.entries, driver=VECTORS_DRIVER)
+            _fix_phases(v)
         else:
-            w = scipy.linalg.eigh(h.entries, eigvals_only=True, driver="evr")
+            w = scipy.linalg.eigh(h.entries, eigvals_only=True, driver=VALUES_DRIVER)
             v = None
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"dense eigensolver failed: {exc}") from exc
-    order = np.argsort(w, kind="stable")
-    w = w[order]
-    if v is not None:
-        v = _fix_phases(v[:, order])
     return EigenDecomposition(energies=w, vectors=v, basis=h.basis)
 
 

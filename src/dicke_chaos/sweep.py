@@ -3,9 +3,9 @@
 Every point, for sweeps and the CLI alike, comes from :func:`compute_point_data`
 (the library's filter_energy_window, tail_weights and collect_coefficients behind
 the spectrum cache) and :func:`level_statistics`.  Grid points are independent
-work units executed in spawned worker processes; results are gathered and sorted
-(kappa ascending, lambda ascending) before anything is written, so the worker
-count never changes a single output byte.  A failed point turns into a row of
+work units executed in spawned worker processes; ``Pool.map`` returns the rows
+in grid order (kappa ascending, lambda ascending), so the worker count never
+changes a single output byte.  A failed point turns into a row of
 NaN sentinels plus an entry in the errors sidecar instead of aborting the sweep.
 The config schema and its one reader, :func:`read_config`, live here too.
 """
@@ -17,12 +17,14 @@ import json
 import math
 import multiprocessing
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
 from .cache import (
+    KIND_EIGVALS,
     KIND_ENERGIES,
     KIND_MID_COEFFS,
     KIND_TAIL_WEIGHTS,
@@ -57,8 +59,6 @@ from .spectrum import (
     filter_energy_window,
     tail_weights,
 )
-
-CSV_HEADER = "kappa,lambda,dim,n_levels,eta,beta,mean_r,d_kl,converged_fraction,n_degenerate_dropped"
 
 #: Environment variable pointing at the spectrum cache directory.
 CACHE_ENV_VAR = "DICKE_CHAOS_CACHE_DIR"
@@ -124,6 +124,12 @@ class SweepResultRow:
     error: str | None = None
 
 
+#: The sweep.csv columns: every SweepResultRow field but ``error``, in order, with its type.
+CSV_COLUMNS = tuple((name, kind) for name, kind in get_type_hints(SweepResultRow).items()
+                    if name != "error")
+CSV_HEADER = ",".join(name.removesuffix("_") for name, _ in CSV_COLUMNS)  # lambda_ -> lambda
+
+
 @dataclass
 class PointData:
     """One parameter point as the sweep and the CLI read it.
@@ -156,12 +162,14 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
     """Obtain the spectrum (and, if wanted, eigenvector summaries) for one point.
 
     Consults the cache first; on a miss builds and diagonalizes the even-parity
-    block and stores the results.  Cached payloads are exact float64 copies, so
-    a warm run reproduces a cold run bit for bit; empty windows store empty arrays.
+    block and stores the results.  Cached payloads are exact float64 copies and
+    the two solves keep separate eigenvalue entries, so a warm run reproduces a
+    cold run of the same route bit for bit; empty windows store empty arrays.
     """
     sector = Parity.EVEN
+    energies_kind = KIND_ENERGIES if want_vectors else KIND_EIGVALS
     if cache is not None:
-        energies = cache.load(params, sector, KIND_ENERGIES)
+        energies = cache.load(params, sector, energies_kind)
         if energies is not None:
             if not want_vectors:
                 return _point_data(params, energies, None, None)
@@ -179,7 +187,7 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
             tail = tail_weights(ds, DEFAULT_TAIL_WIDTH)
             mid = collect_coefficients(ds).values
     if cache is not None:
-        cache.store(params, sector, KIND_ENERGIES, eig.energies)
+        cache.store(params, sector, energies_kind, eig.energies)
         if want_vectors:
             cache.store(params, sector, KIND_MID_COEFFS, mid)
             cache.store(params, sector, KIND_TAIL_WEIGHTS, tail, tail_width=DEFAULT_TAIL_WIDTH)
@@ -263,31 +271,20 @@ def compute_point(params: ModelParams, fit_degree: int = DEFAULT_FIT_DEGREE,
     return row
 
 
-def _point_task(task: tuple) -> SweepResultRow:
-    base, kappa, lam, fit_degree, bins, cache_dir = task
-    params = replace(base, kappa=kappa, lambda_=lam)
-    cache = SpectrumCache(cache_dir) if cache_dir is not None else None
-    return compute_point(params, fit_degree=fit_degree, bins=bins, cache=cache)
-
-
 def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
     """Run the full grid and return rows ordered (kappa asc, lambda asc).
 
     Every point runs in a spawned worker process regardless of ``workers``, so
-    results are independent of the degree of parallelism.
+    results are independent of the degree of parallelism.  The points are built
+    in that order from the strictly ascending grids, and ``Pool.map`` keeps it.
     """
-    cache_dir = str(config.cache_dir) if config.cache_dir is not None else None
-    tasks = [
-        (config.base, kappa, lam, config.fit_degree, config.bins, cache_dir)
-        for kappa in config.kappa_grid
-        for lam in config.lambda_grid
-    ]
-    workers = max(1, min(config.workers, len(tasks)))
-    ctx = multiprocessing.get_context("spawn")
-    with ctx.Pool(processes=workers) as pool:
-        rows = pool.map(_point_task, tasks, chunksize=1)
-    rows.sort(key=lambda r: (r.kappa, r.lambda_))
-    return rows
+    points = [replace(config.base, kappa=kappa, lambda_=lam)
+              for kappa in config.kappa_grid for lam in config.lambda_grid]
+    cache = SpectrumCache(config.cache_dir) if config.cache_dir is not None else None
+    point = partial(compute_point, fit_degree=config.fit_degree, bins=config.bins, cache=cache)
+    workers = max(1, min(config.workers, len(points)))
+    with multiprocessing.get_context("spawn").Pool(processes=workers) as pool:
+        return pool.map(point, points, chunksize=1)
 
 
 # ---------------------------------------------------------------------------
@@ -309,11 +306,8 @@ def write_csv(rows: Sequence[SweepResultRow], path: str | Path) -> None:
     """Write sweep rows; floats carry 17 significant digits (exact round-trip)."""
     lines = [CSV_HEADER]
     for r in rows:
-        lines.append(",".join((
-            _fmt(r.kappa), _fmt(r.lambda_), str(r.dim), str(r.n_levels),
-            _fmt(r.eta), _fmt(r.beta), _fmt(r.mean_r), _fmt(r.d_kl),
-            _fmt(r.converged_fraction), str(r.n_degenerate_dropped),
-        )))
+        lines.append(",".join((str if kind is int else _fmt)(getattr(r, name))
+                              for name, kind in CSV_COLUMNS))
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -323,25 +317,23 @@ def read_csv(path: str | Path) -> list[SweepResultRow]:
     Raises
     ------
     UsageError
-        If the header is wrong, or a row, named by its line number, is malformed.
+        If the file is not UTF-8 text, the header is wrong, or a row, named by
+        its line number, is malformed.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path} is not a sweep result file (not UTF-8 text: {exc})") from exc
     lines = [(lineno, ln) for lineno, ln in enumerate(text.splitlines(), 1) if ln]
     if not lines or lines[0][1] != CSV_HEADER:
         raise UsageError(f"{path} is not a sweep result file (bad header)")
-    n_fields = CSV_HEADER.count(",") + 1
     rows = []
     for lineno, ln in lines[1:]:
         f = ln.split(",")
         try:
-            if len(f) != n_fields:
-                raise ValueError(f"expected {n_fields} fields, got {len(f)}")
-            rows.append(SweepResultRow(
-                kappa=float(f[0]), lambda_=float(f[1]), dim=int(f[2]),
-                n_levels=int(f[3]), eta=float(f[4]), beta=float(f[5]),
-                mean_r=float(f[6]), d_kl=float(f[7]),
-                converged_fraction=float(f[8]), n_degenerate_dropped=int(f[9]),
-            ))
+            if len(f) != len(CSV_COLUMNS):
+                raise ValueError(f"expected {len(CSV_COLUMNS)} fields, got {len(f)}")
+            rows.append(SweepResultRow(**{name: kind(x) for (name, kind), x in zip(CSV_COLUMNS, f)}))
         except ValueError as exc:
             raise UsageError(f"{path}, line {lineno}: malformed sweep row: {exc}") from exc
     return rows
@@ -378,21 +370,6 @@ def read_histogram(path: str | Path) -> tuple[Histogram, dict]:
         counts=np.array(doc["counts"], dtype=np.int64),
     )
     return hist, doc["meta"]
-
-
-def write_histograms(
-    histos: Iterable[tuple[str, Histogram, Mapping | None]],
-    out_dir: str | Path,
-) -> list[Path]:
-    """Write (name, histogram, meta) triples to <out_dir>/<name>.json."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for name, hist, meta in histos:
-        path = out_dir / f"{name}.json"
-        write_histogram(hist, path, meta)
-        written.append(path)
-    return written
 
 
 def histogram_name(kind: str, kappa: float, lam: float) -> str:
@@ -513,13 +490,3 @@ def check_grids(config: SweepConfig) -> SweepConfig:
         if not getattr(config, name):
             raise UsageError(f"config key {name} is required for sweeps")
     return config
-
-
-def params_from_config(doc: Mapping) -> ModelParams:
-    """Single-point model parameters from a config document."""
-    return read_config(doc).base
-
-
-def sweep_config_from_config(doc: Mapping) -> SweepConfig:
-    """Full sweep configuration from a config document."""
-    return check_grids(read_config(doc))

@@ -116,6 +116,23 @@ class TestExitCodes:
         assert "sweep.csv, line 3" in capsys.readouterr().err
         assert not list(out.glob("boundary_*.csv"))
 
+    @pytest.mark.parametrize("rows, tail", [
+        ([(0.0, 0.3), (0.0, 0.8), (0.5, 0.3)], b""),                          # 3 of 4 grid rows
+        ([(0.0, 0.3), (0.0, 0.8), (0.5, 0.3), (0.5, 0.8), (0.5, 0.8)], b""),  # a row duplicated
+        ([(0.0, 0.3), (0.0, 0.8), (0.5, 0.3), (0.5, 0.8)], b"\xff\xfe"),     # not UTF-8
+    ], ids=["missing-row", "duplicate-row", "not-utf8"])
+    def test_malformed_sweep_file_is_usage_error(self, config_path, tmp_path, capsys,
+                                                 rows, tail):
+        out = tmp_path / "out"
+        out.mkdir()
+        write_csv([SweepResultRow(kappa=k, lambda_=lam) for k, lam in rows], out / "sweep.csv")
+        with open(out / "sweep.csv", "ab") as fh:
+            fh.write(tail)
+        code = main(["boundary", "--config", str(config_path)])
+        assert code == 1
+        assert "sweep.csv" in capsys.readouterr().err
+        assert not list(out.glob("boundary_*.csv"))
+
     def test_unwritable_spectrum_is_runtime_error(self, config_path, tmp_path, capsys):
         (tmp_path / "out" / "spectrum_0_0.9.csv").mkdir(parents=True)
         code = main(["spectrum", "--config", str(config_path),

@@ -67,6 +67,25 @@ def test_cold_and_warm_cache_write_identical_files(tmp_path):
     assert entries[0] == entries[1] and len(entries[0]) == 12
 
 
+def test_values_only_and_vector_solves_keep_separate_cache_entries(tmp_path):
+    """The two solves differ in the last bits; neither may read the other's eigenvalues."""
+    def run(command, name, cache_dir):
+        doc = {"j": 6.0, "n_cutoff": 80, "kappa": 0.0, "lambda": 0.9,
+               "kappa_grid": [0.0], "lambda_grid": [0.9], "cache_dir": str(cache_dir)}
+        config = tmp_path / f"{name}.json"
+        config.write_text(json.dumps(doc))
+        out = tmp_path / name
+        assert main([command, "--config", str(config), "--out", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    fresh = run("sweep", "fresh", tmp_path / "fresh_cache")
+    run("spacing", "spacing", tmp_path / "shared")
+    assert run("sweep", "first", tmp_path / "shared") == fresh
+    assert run("sweep", "second", tmp_path / "shared") == fresh
+    # "" is no cache; the shared cache now holds the sweep's eigenvalues
+    assert run("ratio", "uncached", "") == run("ratio", "cached", tmp_path / "shared")
+
+
 @pytest.mark.parametrize("lam, kappa", POINTS)
 def test_point_commands_report_the_sweep_row(tmp_path, lam, kappa):
     """spacing and ratio share compute_point's indicator code, so their meta match its row."""

@@ -2,13 +2,14 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from dicke_chaos import (
-    Histogram,
     ModelParams,
+    SpectrumCache,
     SweepConfig,
     SweepResultRow,
     Thresholds,
@@ -18,16 +19,15 @@ from dicke_chaos import (
     run_sweep,
     write_csv,
     write_histogram,
-    write_histograms,
 )
 from dicke_chaos.errors import UsageError
 from dicke_chaos.sweep import (
     CSV_HEADER,
+    check_grids,
     histogram_name,
     load_config,
-    params_from_config,
+    read_config,
     read_histogram,
-    sweep_config_from_config,
     write_boundary_csv,
     write_errors_sidecar,
 )
@@ -87,6 +87,16 @@ class TestRunSweep:
             (0.0, 0.2), (0.0, 0.9), (0.7, 0.2), (0.7, 0.9),
         ]
         assert all(r.dim == 527 for r in rows)
+
+    def test_rows_keep_grid_order_when_points_finish_out_of_order(self, tmp_path):
+        # the first point is solved while the cached later ones finish ahead of it
+        cache = SpectrumCache(tmp_path / "cache")
+        for kappa, lam in [(0.0, 0.9), (0.7, 0.2), (0.7, 0.9)]:
+            compute_point(replace(BASE, kappa=kappa, lambda_=lam), cache=cache)
+        rows = run_sweep(small_config(tmp_path, workers=2, cache_dir=cache.root))
+        assert [(r.kappa, r.lambda_) for r in rows] == [
+            (0.0, 0.2), (0.0, 0.9), (0.7, 0.2), (0.7, 0.9),
+        ]
 
     def test_single_point_grid_matches_direct_call(self, tmp_path):
         config = small_config(tmp_path, kappa_grid=(0.7,), lambda_grid=(0.9,))
@@ -167,13 +177,8 @@ class TestHistogramFiles:
         assert meta == {"kind": "test"}
         np.testing.assert_array_equal(loaded.counts, hist.counts)
 
-    def test_write_histograms_names_files(self, tmp_path):
-        hist = Histogram(edges=np.array([0.0, 1.0]), densities=np.array([1.0]),
-                         counts=np.array([5]))
-        name = histogram_name("spacing", 0.5, 0.25)
-        written = write_histograms([(name, hist, None)], tmp_path)
-        assert written == [tmp_path / "hist_spacing_0.5_0.25.json"]
-        assert written[0].exists()
+    def test_histogram_name(self):
+        assert histogram_name("spacing", 0.5, 0.25) == "hist_spacing_0.5_0.25"
 
 
 class TestErrorsSidecar:
@@ -225,7 +230,7 @@ class TestConfig:
         }
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
-        config = sweep_config_from_config(load_config(path))
+        config = check_grids(read_config(load_config(path)))
         assert config.base.j == 6.0
         assert config.kappa_grid == (0.0, 0.5)
         assert config.fit_degree == 8
@@ -244,26 +249,26 @@ class TestConfig:
             load_config(path)
 
     def test_point_params_maps_lambda(self):
-        params = params_from_config({"lambda": 0.8, "kappa": 0.2, "j": 2.0,
-                                     "n_cutoff": 10})
+        params = read_config({"lambda": 0.8, "kappa": 0.2, "j": 2.0,
+                              "n_cutoff": 10}).base
         assert params.lambda_ == 0.8 and params.kappa == 0.2
 
     def test_grids_required_for_sweeps(self):
         with pytest.raises(UsageError):
-            sweep_config_from_config({"omega": 1.0})
+            check_grids(read_config({"omega": 1.0}))
 
     def test_descending_grid_rejected(self):
         with pytest.raises(UsageError):
-            sweep_config_from_config({"kappa_grid": [0.5, 0.0], "lambda_grid": [0.1]})
+            check_grids(read_config({"kappa_grid": [0.5, 0.0], "lambda_grid": [0.1]}))
 
     @pytest.mark.parametrize("key, value", [("bins", 5), ("fit_degree", -1)])
     def test_bad_bins_or_fit_degree_rejected(self, key, value):
         with pytest.raises(UsageError):
-            sweep_config_from_config({"kappa_grid": [0.0], "lambda_grid": [0.1], key: value})
+            check_grids(read_config({"kappa_grid": [0.0], "lambda_grid": [0.1], key: value}))
 
     @pytest.mark.parametrize("value", [80, 80.0, "80"])
     def test_integral_values_accepted(self, value):
-        params = params_from_config({"j": 6.0, "n_cutoff": value})
+        params = read_config({"j": 6.0, "n_cutoff": value}).base
         assert params.n_cutoff == 80 and isinstance(params.n_cutoff, int)
 
     @pytest.mark.parametrize("key, value", [
@@ -272,7 +277,7 @@ class TestConfig:
     ])
     def test_malformed_value_rejected_by_key(self, key, value):
         with pytest.raises(UsageError, match=key):
-            sweep_config_from_config({"kappa_grid": [0.0], "lambda_grid": [0.1], key: value})
+            check_grids(read_config({"kappa_grid": [0.0], "lambda_grid": [0.1], key: value}))
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
