@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import log_ndtr, ndtr
 
 from .errors import DegenerateRange, EmptySample, EmptyWindow, MissingVectors
 from .spectrum import SpectralDataset, _window_mask
@@ -102,7 +102,8 @@ def _log_gaussian_bin_masses(edges: np.ndarray, dim: int) -> np.ndarray:
     """ln of the GOE-Gaussian probability mass per bin, stable in far tails.
 
     Direct CDF differences underflow once |c| sqrt(D) exceeds ~38, so bins that
-    lie entirely in one tail are evaluated through logsf/logcdf instead.
+    lie entirely in one tail are evaluated through the log CDF instead, using
+    ln sf(z) = ln cdf(-z) for the upper tail.
     """
     z = edges * np.sqrt(float(dim))
     z_lo, z_hi = z[:-1], z[1:]
@@ -114,15 +115,15 @@ def _log_gaussian_bin_masses(edges: np.ndarray, dim: int) -> np.ndarray:
 
     with np.errstate(divide="ignore"):
         if upper.any():
-            la = norm.logsf(z_lo[upper])
-            lb = norm.logsf(z_hi[upper])
+            la = log_ndtr(-z_lo[upper])
+            lb = log_ndtr(-z_hi[upper])
             out[upper] = la + np.log1p(-np.exp(lb - la))
         if lower.any():
-            la = norm.logcdf(z_lo[lower])
-            lb = norm.logcdf(z_hi[lower])
+            la = log_ndtr(z_lo[lower])
+            lb = log_ndtr(z_hi[lower])
             out[lower] = lb + np.log1p(-np.exp(la - lb))
         if middle.any():
-            out[middle] = np.log(norm.cdf(z_hi[middle]) - norm.cdf(z_lo[middle]))
+            out[middle] = np.log(ndtr(z_hi[middle]) - ndtr(z_lo[middle]))
     return out
 
 

@@ -10,7 +10,7 @@ class AllocationTooLarge(DickeChaosError):
 
 
 class ConvergenceFailure(DickeChaosError):
-    """The dense eigensolver failed to converge."""
+    """The eigensolver failed to converge."""
 
 
 class EmptyWindow(DickeChaosError):

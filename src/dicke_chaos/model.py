@@ -134,11 +134,20 @@ def hamiltonian_element(params: ModelParams, bra, ket) -> float:
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Dense symmetric Hamiltonian block together with its ordered basis."""
+    """Dense symmetric Hamiltonian block together with its ordered basis.
+
+    ``bandwidth`` is the exact half-bandwidth max |row - column| over the
+    non-zero entries: ``entries[i, k] == 0`` whenever ``|i - k| > bandwidth``.
+    It is 0 when the block has no couplings (lambda = 0, or a single state).
+    In the n-major basis order every coupling joins layer n to layer n + 1, so
+    it is at most 2j + 2 whatever n_cutoff is (17 for the even sector at
+    j = 16, where D = 5297).
+    """
 
     dim: int
     entries: np.ndarray
     basis: np.recarray
+    bandwidth: int
 
 
 def build_hamiltonian(
@@ -151,7 +160,7 @@ def build_hamiltonian(
     Iterates the selection rule directly (each state has at most four
     couplings), so assembly is O(D) in work on top of the O(D^2) zero fill.
     Both (i, k) and (k, i) are written from the same float, never symmetrized
-    after the fact.
+    after the fact.  The half-bandwidth is read off the same couplings.
 
     Raises
     ------
@@ -181,6 +190,7 @@ def build_hamiltonian(
     h[np.arange(dim), np.arange(dim)] = diag
 
     g = params.lambda_ / math.sqrt(n_atoms)
+    bandwidth = 0
     for dk in (+1, -1):
         tk = k + dk
         ok = (n + 1 <= nc) & (tk >= 0) & (tk <= twoj)
@@ -194,5 +204,7 @@ def build_hamiltonian(
         val = g * np.sqrt(n[src] + 1.0) * np.sqrt(j * (j + 1) - mm * (mm + dk))
         h[src, dst] = val
         h[dst, src] = val
+        if g != 0.0 and src.size:
+            bandwidth = max(bandwidth, int(np.max(np.abs(dst - src))))
 
-    return HamiltonianMatrix(dim=dim, entries=h, basis=basis)
+    return HamiltonianMatrix(dim=dim, entries=h, basis=basis, bandwidth=bandwidth)

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gammaln
 
 from .errors import (
@@ -60,17 +59,10 @@ def brody_pdf(s, beta: float):
     return b * b1 * s**beta * np.exp(-b * s**b1)
 
 
-def _first_intersection() -> float:
-    # Smallest positive root of P_WD(s) = P_P(s); seed interval brackets 0.4729.
-    return brentq(
-        lambda s: wigner_dyson_pdf(s) - poisson_pdf(s), 0.3, 0.6,
-        xtol=1e-15, rtol=8.9e-16,
-    )
-
-
-#: First intersection of the Poisson and Wigner-Dyson densities (~0.4729),
-#: refined to full float precision at import time.
-S0 = _first_intersection()
+#: First intersection of the Poisson and Wigner-Dyson densities, the smallest
+#: positive root of P_WD(s) = P_P(s), to full float precision (a test recomputes
+#: it by root bracketing).
+S0 = 0.4729129351811547
 
 _WD_CDF_S0 = 1.0 - np.exp(-np.pi * S0 * S0 / 4.0)
 #: Denominator of the eta indicator: integral of (P_P - P_WD) over [0, S0].

@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dicke_chaos
 from dicke_chaos.cli import apply_overrides, main
 from dicke_chaos.errors import UsageError
 from dicke_chaos.sweep import SweepResultRow, read_csv, read_histogram, write_csv
@@ -35,6 +40,17 @@ def tree_digest(root):
         digest.update(path.name.encode())
         digest.update(path.read_bytes())
     return digest.hexdigest()
+
+
+def test_import_leaves_out_scipy_stats_and_optimize():
+    """Every CLI call and sweep worker pays the package's import time."""
+    src = str(Path(dicke_chaos.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, dicke_chaos.cli; "
+             "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"
 
 
 class TestOverrides:
@@ -182,6 +198,18 @@ class TestPointCommands:
         assert lines[0] == "index,energy"
         energies = [float(ln.split(",")[1]) for ln in lines[1:]]
         assert all(4.8 <= e <= 48.0 for e in energies)  # E/N in [0.4, 4], N = 12
+
+    def test_warm_spectrum_reproduces_cold(self, config_path, tmp_path):
+        args = ["spectrum", "--config", str(config_path), "--set", "lambda=0.8",
+                "--set", "kappa=0.5", "--set", f"cache_dir={tmp_path / 'cache'}"]
+        path = tmp_path / "out" / "spectrum_0.5_0.8.csv"
+        outputs = []
+        for _ in ("cold", "warm"):
+            assert main(args) == 0
+            outputs.append(path.read_bytes())
+            path.unlink()
+        assert outputs[0] == outputs[1]
+        assert len(list((tmp_path / "cache").iterdir())) == 1  # the warm run stored nothing new
 
     def test_spacing_reports_eta_and_beta(self, config_path, tmp_path):
         code = main(["spacing", "--config", str(config_path),

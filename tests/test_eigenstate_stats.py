@@ -177,6 +177,31 @@ class TestLogGaussianBinMasses:
         direct = np.log(norm.sf(z[:-1]) - norm.sf(z[1:]))
         np.testing.assert_allclose(logm, direct, rtol=1e-9)
 
+    def test_bit_identical_to_scipy_stats_norm(self):
+        """The scipy.special route gives exactly the bin masses scipy.stats.norm gives."""
+        def norm_masses(edges, dim):
+            z = edges * np.sqrt(float(dim))
+            z_lo, z_hi = z[:-1], z[1:]
+            out = np.empty(z_lo.size)
+            upper, lower = z_lo >= 0.0, z_hi <= 0.0
+            middle = ~(upper | lower)
+            with np.errstate(divide="ignore"):
+                la, lb = norm.logsf(z_lo[upper]), norm.logsf(z_hi[upper])
+                out[upper] = la + np.log1p(-np.exp(lb - la))
+                la, lb = norm.logcdf(z_lo[lower]), norm.logcdf(z_hi[lower])
+                out[lower] = lb + np.log1p(-np.exp(la - lb))
+                out[middle] = np.log(norm.cdf(z_hi[middle]) - norm.cdf(z_lo[middle]))
+            return out
+
+        # z = edges * sqrt(dim) runs over [-40, 40] in steps of 0.01, through +-38 and 0
+        dim = 100
+        edges = np.linspace(-4.0, 4.0, 8001)
+        assert {-380, 0, 380} <= set(np.rint(edges * 100).astype(int).tolist())
+        assert np.array_equal(_log_gaussian_bin_masses(edges, dim), norm_masses(edges, dim))
+        # and on unequal bins straddling +-38 and far out in both tails
+        edges = np.array([-80.0, -38.0, -37.5, -1.0, 0.0, 0.5, 37.9, 38.0, 38.1, 80.0]) / 10.0
+        assert np.array_equal(_log_gaussian_bin_masses(edges, dim), norm_masses(edges, dim))
+
     def test_finite_in_extreme_tail(self):
         # direct CDF differences underflow here; the log route must not
         dim = 6000

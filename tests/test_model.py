@@ -197,6 +197,22 @@ class TestBuildHamiltonian:
         with pytest.raises(AllocationTooLarge):
             build_hamiltonian(p, Parity.EVEN, dim_cap=1000)
 
+    @pytest.mark.parametrize("sector", [Parity.EVEN, Parity.ODD, None])
+    @pytest.mark.parametrize("j, n_cutoff", [(0.5, 7), (2.0, 11), (2.5, 9), (6.0, 40)])
+    def test_bandwidth_is_exact(self, j, n_cutoff, sector):
+        # every non-zero lies within the band, and one lies on its edge
+        h = build_hamiltonian(ModelParams(lambda_=0.7, kappa=0.4, j=j, n_cutoff=n_cutoff), sector)
+        rows, cols = np.nonzero(h.entries)
+        assert h.bandwidth == np.max(np.abs(rows - cols)) > 0
+
+    @pytest.mark.parametrize("sector", [Parity.EVEN, Parity.ODD, None])
+    def test_bandwidth_zero_without_coupling(self, sector):
+        h = build_hamiltonian(ModelParams(lambda_=0.0, kappa=0.6, j=2.5, n_cutoff=9), sector)
+        assert h.bandwidth == 0
+
+    def test_bandwidth_at_full_scale(self):
+        assert build_hamiltonian(ModelParams(lambda_=0.5), Parity.EVEN).bandwidth == 17
+
     def test_sector_dimensions_add_up(self):
         p = ModelParams(j=2.5, n_cutoff=11)
         d_even = build_hamiltonian(p, Parity.EVEN).dim

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.optimize import brentq
 from scipy.stats import kstest
 
 from dicke_chaos import (
@@ -56,6 +57,12 @@ class TestReferencePdfs:
         assert 0.4729 < S0 < 0.4730
         assert abs(S0 - 0.4729129351811547) < 1e-13
         assert abs(wigner_dyson_pdf(S0) - poisson_pdf(S0)) < 1e-12
+
+    def test_first_intersection_literal_is_the_root(self):
+        # S0 is a literal so that importing the package needs no root finder
+        root = brentq(lambda s: wigner_dyson_pdf(s) - poisson_pdf(s), 0.3, 0.6,
+                      xtol=1e-15, rtol=8.9e-16)
+        assert S0 == root
 
     def test_eta_denominator_against_quadrature(self):
         quad, _ = integrate.quad(lambda s: poisson_pdf(s) - wigner_dyson_pdf(s), 0.0, S0)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dicke_chaos import (
     EigenDecomposition,
@@ -15,8 +16,9 @@ from dicke_chaos import (
     enumerate_basis,
     filter_energy_window,
 )
-from dicke_chaos.cache import KIND_ENERGIES, KIND_MID_COEFFS
+from dicke_chaos.cache import KIND_EIGVALS, KIND_ENERGIES, KIND_MID_COEFFS, cache_key
 from dicke_chaos.errors import CacheFormatError, EmptyWindow, MissingVectors
+from dicke_chaos.spectrum import _lower_band
 
 
 def solve(params, sector=Parity.EVEN, want_vectors=False):
@@ -79,6 +81,72 @@ class TestDiagonalize:
     def test_no_vectors_by_default(self):
         p = ModelParams(j=1.0, n_cutoff=10)
         assert solve(p).vectors is None
+
+
+def dense_from_band(ab):
+    """Symmetric dense matrix whose LAPACK lower band storage is ``ab``."""
+    dim = ab.shape[1]
+    h = np.zeros((dim, dim))
+    for d in range(ab.shape[0]):
+        i = np.arange(dim - d)
+        h[i + d, i] = ab[d, : dim - d]
+        h[i, i + d] = ab[d, : dim - d]
+    return h
+
+
+def evr_oracle(h):
+    """The dense relatively-robust-representation solve the band solve replaced."""
+    return scipy.linalg.eigh(h.entries, eigvals_only=True, driver="evr")
+
+
+SMALL_BLOCKS = [
+    (j, n_cutoff, sector)
+    for j, n_cutoff in [(0.5, 7), (2.0, 11), (2.5, 9), (6.0, 40)]
+    for sector in (Parity.EVEN, Parity.ODD, None)
+]
+
+
+class TestBandedSolve:
+    @pytest.mark.parametrize("j, n_cutoff, sector", SMALL_BLOCKS)
+    def test_band_rebuilds_dense_matrix(self, j, n_cutoff, sector):
+        h = build_hamiltonian(ModelParams(lambda_=0.7, kappa=0.4, j=j, n_cutoff=n_cutoff), sector)
+        ab = _lower_band(h)
+        assert ab.shape == (h.bandwidth + 1, h.dim)
+        assert np.array_equal(dense_from_band(ab), h.entries)
+
+    @pytest.mark.parametrize("sector", [Parity.EVEN, Parity.ODD, None])
+    def test_uncoupled_band_is_the_diagonal(self, sector):
+        h = build_hamiltonian(ModelParams(lambda_=0.0, kappa=0.6, j=2.5, n_cutoff=9), sector)
+        ab = _lower_band(h)
+        assert h.bandwidth == 0 and ab.shape == (1, h.dim)
+        assert np.array_equal(dense_from_band(ab), h.entries)
+        assert np.array_equal(diagonalize(h).energies, np.sort(np.diag(h.entries)))
+
+    def test_two_by_two_toy_band(self):
+        p = ModelParams(omega=1.0, omega0=0.5, lambda_=0.3, kappa=0.2, j=0.5, n_cutoff=1)
+        h = build_hamiltonian(p, Parity.EVEN)
+        ab = _lower_band(h)
+        assert h.bandwidth == 1
+        assert np.array_equal(ab[1, :1], h.entries[1, :1])
+        assert ab[1, 1] == 0.0
+        assert np.array_equal(dense_from_band(ab), h.entries)
+
+    @pytest.mark.parametrize("j, n_cutoff, sector", SMALL_BLOCKS)
+    @pytest.mark.parametrize("lam, kappa", [(0.1, 0.0), (0.7, 0.4), (1.5, 1.2)])
+    def test_matches_dense_oracle(self, j, n_cutoff, sector, lam, kappa):
+        h = build_hamiltonian(ModelParams(lambda_=lam, kappa=kappa, j=j, n_cutoff=n_cutoff), sector)
+        assert np.max(np.abs(diagonalize(h).energies - evr_oracle(h))) <= 1e-10
+
+    def test_matches_dense_oracle_at_full_scale(self):
+        h = build_hamiltonian(ModelParams(lambda_=1.0, kappa=0.5, j=16.0, n_cutoff=320),
+                              Parity.EVEN)
+        assert h.dim == 5297 and h.bandwidth == 17
+        assert np.max(np.abs(diagonalize(h).energies - evr_oracle(h))) <= 1e-10
+
+    def test_cache_key_names_the_solver(self):
+        p = ModelParams(lambda_=0.7, j=2.0, n_cutoff=11)
+        assert cache_key(p, Parity.EVEN, KIND_EIGVALS)["solver"] == "sbevd"
+        assert cache_key(p, Parity.EVEN, KIND_ENERGIES)["solver"] == "evd"
 
 
 class TestEnergyWindow:
