@@ -71,11 +71,9 @@ ETA_DENOM = float(np.exp(-np.pi * S0 * S0 / 4.0) - np.exp(-S0))
 
 @dataclass
 class UnfoldedSpectrum:
-    """Unfolded levels with unit mean density and their consecutive spacings."""
+    """Consecutive spacings of the unfolded levels, which have unit mean density."""
 
-    levels: np.ndarray
     spacings: np.ndarray
-    fit_degree: int
 
 
 def unfold(energies, fit_degree: int = DEFAULT_FIT_DEGREE) -> UnfoldedSpectrum:
@@ -107,7 +105,7 @@ def unfold(energies, fit_degree: int = DEFAULT_FIT_DEGREE) -> UnfoldedSpectrum:
     if rank < fit_degree + 1:
         raise DegenerateFit(f"counting-function fit is rank-deficient (rank {rank})")
     levels = np.sort(series(e), kind="stable")
-    return UnfoldedSpectrum(levels=levels, spacings=np.diff(levels), fit_degree=fit_degree)
+    return UnfoldedSpectrum(spacings=np.diff(levels))
 
 
 def _nondegenerate(s: np.ndarray) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 Every point, for sweeps and the CLI alike, comes from :func:`compute_point_data`
 (the library's filter_energy_window, tail_weights and collect_coefficients behind
-the spectrum cache) and :func:`level_statistics`.  Grid points are independent
-work units executed in spawned worker processes; ``Pool.map`` returns the rows
-in grid order (kappa ascending, lambda ascending), so the worker count never
-changes a single output byte.  A failed point turns into a row of
-NaN sentinels plus an entry in the errors sidecar instead of aborting the sweep.
+the spectrum cache) and :func:`level_statistics`.  A sweep reads its cache hits in
+its own process and solves only the misses, in spawned worker processes; either
+way a row is :func:`point_row` of a :class:`PointData`, and the rows come back in
+grid order (kappa ascending, lambda ascending), so neither the worker count nor
+the cache warmth changes a single output byte.  A failed point turns into a row
+of NaN sentinels plus an entry in the errors sidecar instead of aborting the sweep.
 The config schema and its one reader, :func:`read_config`, live here too.
 """
 
@@ -157,27 +158,40 @@ def _point_data(params: ModelParams, energies: np.ndarray, tail: np.ndarray | No
     return PointData(energies, window, tail, sample)
 
 
+def load_point_data(params: ModelParams, cache: SpectrumCache,
+                    want_vectors: bool = True) -> PointData | None:
+    """The cached record for one point, or None unless every payload it needs is
+    cached; a corrupt payload raises CacheFormatError."""
+    sector = Parity.EVEN
+    energies = cache.load(params, sector, KIND_ENERGIES if want_vectors else KIND_EIGVALS)
+    if energies is None:
+        return None
+    if not want_vectors:
+        return _point_data(params, energies, None, None)
+    mid = cache.load(params, sector, KIND_MID_COEFFS)
+    tail = cache.load(params, sector, KIND_TAIL_WEIGHTS, tail_width=DEFAULT_TAIL_WIDTH)
+    if mid is None or tail is None:
+        return None
+    return _point_data(params, energies, tail, mid)
+
+
 def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
                        want_vectors: bool = True) -> PointData:
     """Obtain the spectrum (and, if wanted, eigenvector summaries) for one point.
 
-    Consults the cache first; on a miss builds and diagonalizes the even-parity
-    block and stores the results.  Cached payloads are exact float64 copies and
-    the two solves keep separate eigenvalue entries, so a warm run reproduces a
-    cold run of the same route bit for bit; empty windows store empty arrays.
+    Consults the cache first (:func:`load_point_data`); on a miss builds and
+    diagonalizes the even-parity block and stores the results.  Cached payloads
+    are exact float64 copies and the two solves keep separate eigenvalue entries,
+    so a warm run reproduces a cold run of the same route bit for bit; empty
+    windows store empty arrays.
     """
+    if cache is not None:
+        data = load_point_data(params, cache, want_vectors)
+        if data is not None:
+            return data
+
     sector = Parity.EVEN
     energies_kind = KIND_ENERGIES if want_vectors else KIND_EIGVALS
-    if cache is not None:
-        energies = cache.load(params, sector, energies_kind)
-        if energies is not None:
-            if not want_vectors:
-                return _point_data(params, energies, None, None)
-            mid = cache.load(params, sector, KIND_MID_COEFFS)
-            tail = cache.load(params, sector, KIND_TAIL_WEIGHTS, tail_width=DEFAULT_TAIL_WIDTH)
-            if mid is not None and tail is not None:
-                return _point_data(params, energies, tail, mid)
-
     eig = diagonalize(build_hamiltonian(params, sector), want_vectors=want_vectors)
     mid = tail = None
     if want_vectors:
@@ -235,20 +249,29 @@ def level_statistics(windowed: np.ndarray, fit_degree: int) -> LevelStatistics:
 
 def compute_point(params: ModelParams, fit_degree: int = DEFAULT_FIT_DEGREE,
                   bins: int = DEFAULT_BINS, cache: SpectrumCache | None = None) -> SweepResultRow:
-    """All four chaos indicators for a single (kappa, lambda) point.
-
-    Indicator-level failures (too few levels, empty windows, ...) leave that
-    field NaN and are collected into ``row.error``; only they never abort.
-    """
-    row = SweepResultRow(kappa=params.kappa, lambda_=params.lambda_)
-    notes: list[str] = []
+    """All four chaos indicators for a single (kappa, lambda) point, by :func:`point_row`;
+    a point whose data cannot be obtained is a NaN row whose ``error`` names why."""
     try:
         data = compute_point_data(params, cache=cache, want_vectors=True)
     except Exception as exc:  # failed point -> NaN row, sweep continues
-        row.error = f"{type(exc).__name__}: {exc}"
-        return row
+        return _failed_row(params, exc)
+    return point_row(params, data, fit_degree, bins)
 
-    row.dim = data.energies.size
+
+def _failed_row(params: ModelParams, exc: Exception) -> SweepResultRow:
+    return SweepResultRow(kappa=params.kappa, lambda_=params.lambda_,
+                          error=f"{type(exc).__name__}: {exc}")
+
+
+def point_row(params: ModelParams, data: PointData, fit_degree: int = DEFAULT_FIT_DEGREE,
+              bins: int = DEFAULT_BINS) -> SweepResultRow:
+    """The sweep row of one point's data (with vectors), fresh or cached alike.
+
+    Indicator-level failures (too few levels, empty windows, ...) leave that
+    field NaN and are collected into ``row.error``; they never abort.
+    """
+    row = SweepResultRow(kappa=params.kappa, lambda_=params.lambda_, dim=data.energies.size)
+    notes: list[str] = []
     windowed = data.windowed
     row.n_levels = int(windowed.size)
     if windowed.size == 0:
@@ -274,17 +297,31 @@ def compute_point(params: ModelParams, fit_degree: int = DEFAULT_FIT_DEGREE,
 def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
     """Run the full grid and return rows ordered (kappa asc, lambda asc).
 
-    Every point runs in a spawned worker process regardless of ``workers``, so
-    results are independent of the degree of parallelism.  The points are built
-    in that order from the strictly ascending grids, and ``Pool.map`` keeps it.
+    This process builds the rows of the cache hits (a corrupt entry makes an error
+    row, as in :func:`compute_point`); only the misses go to a pool of
+    ``min(workers, misses)`` spawned processes, so an all-hit grid starts none.
+    Both end in :func:`point_row`, and each solved row returns to its miss's place.
     """
     points = [replace(config.base, kappa=kappa, lambda_=lam)
               for kappa in config.kappa_grid for lam in config.lambda_grid]
     cache = SpectrumCache(config.cache_dir) if config.cache_dir is not None else None
+
+    def cached_row(params: ModelParams) -> SweepResultRow | None:
+        try:
+            data = load_point_data(params, cache)
+        except Exception as exc:  # failed point -> NaN row, sweep continues
+            return _failed_row(params, exc)
+        return None if data is None else point_row(params, data, config.fit_degree, config.bins)
+
+    rows = [cached_row(params) if cache is not None else None for params in points]
+    misses = [params for params, row in zip(points, rows) if row is None]
+    if not misses:
+        return rows
     point = partial(compute_point, fit_degree=config.fit_degree, bins=config.bins, cache=cache)
-    workers = max(1, min(config.workers, len(points)))
+    workers = min(config.workers, len(misses))
     with multiprocessing.get_context("spawn").Pool(processes=workers) as pool:
-        return pool.map(point, points, chunksize=1)
+        solved = iter(pool.map(point, misses, chunksize=1))
+    return [row if row is not None else next(solved) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -360,16 +397,6 @@ def write_histogram(hist: Histogram, path: str | Path, meta: Mapping | None = No
         "meta": dict(meta or {}),
     }
     _write_text(path, json.dumps(doc, indent=2) + "\n")
-
-
-def read_histogram(path: str | Path) -> tuple[Histogram, dict]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    hist = Histogram(
-        edges=np.array(doc["edges"], dtype=float),
-        densities=np.array(doc["densities"], dtype=float),
-        counts=np.array(doc["counts"], dtype=np.int64),
-    )
-    return hist, doc["meta"]
 
 
 def histogram_name(kind: str, kappa: float, lam: float) -> str:

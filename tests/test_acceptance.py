@@ -297,7 +297,7 @@ def test_cli_spacing_at_scale(tmp_path):
     import json
 
     from dicke_chaos.cli import main
-    from dicke_chaos.sweep import read_histogram
+    from histogram_io import read_histogram
 
     config = tmp_path / "config.json"
     config.write_text(json.dumps({

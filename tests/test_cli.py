@@ -12,7 +12,9 @@ import pytest
 import dicke_chaos
 from dicke_chaos.cli import apply_overrides, main
 from dicke_chaos.errors import UsageError
-from dicke_chaos.sweep import SweepResultRow, read_csv, read_histogram, write_csv
+from dicke_chaos.sweep import SweepResultRow, read_csv, write_csv
+
+from histogram_io import read_histogram
 
 
 @pytest.fixture()

@@ -19,7 +19,8 @@ from dicke_chaos import (
     kl_divergence,
 )
 from dicke_chaos.cli import main
-from dicke_chaos.sweep import read_histogram
+
+from histogram_io import read_histogram
 
 # chaotic, regular and degenerate (integer spectrum) points
 POINTS = [(0.9, 0.0), (0.3, 0.7), (0.0, 0.0)]

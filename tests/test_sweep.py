@@ -2,13 +2,20 @@
 
 import json
 import math
+import multiprocessing
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dicke_chaos
 from dicke_chaos import (
     ModelParams,
+    Parity,
     SpectrumCache,
     SweepConfig,
     SweepResultRow,
@@ -20,6 +27,8 @@ from dicke_chaos import (
     write_csv,
     write_histogram,
 )
+from dicke_chaos.cache import KIND_ENERGIES
+from dicke_chaos.cli import main
 from dicke_chaos.errors import UsageError
 from dicke_chaos.sweep import (
     CSV_HEADER,
@@ -27,10 +36,11 @@ from dicke_chaos.sweep import (
     histogram_name,
     load_config,
     read_config,
-    read_histogram,
     write_boundary_csv,
     write_errors_sidecar,
 )
+
+from histogram_io import read_histogram
 
 # small but statistically meaningful: 527 even-sector states, ~280 in window
 BASE = ModelParams(j=6.0, n_cutoff=80)
@@ -46,6 +56,32 @@ def small_config(tmp_path, **kwargs):
     )
     defaults.update(kwargs)
     return SweepConfig(**defaults)
+
+
+GRID = [(0.0, 0.2), (0.0, 0.9), (0.7, 0.2), (0.7, 0.9)]  # small_config's points in grid order
+
+
+def fill_cache(root, points):
+    """A cache holding the given (kappa, lambda) points of BASE, solved in this process."""
+    cache = SpectrumCache(root)
+    for kappa, lam in points:
+        compute_point(replace(BASE, kappa=kappa, lambda_=lam), cache=cache)
+    return cache.root
+
+
+def sweep_csv(out, **kwargs):
+    """The sweep.csv bytes of run_sweep on small_config, written under ``out``."""
+    out.mkdir()
+    write_csv(run_sweep(small_config(out, **kwargs)), out / "sweep.csv")
+    return (out / "sweep.csv").read_bytes()
+
+
+def sweep_config_file(tmp_path, cache_dir, **extra):
+    """A CLI config for small_config's grid on the given cache."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"j": BASE.j, "n_cutoff": BASE.n_cutoff, "kappa_grid": [0.0, 0.7],
+                                "lambda_grid": [0.2, 0.9], "cache_dir": str(cache_dir), **extra}))
+    return path
 
 
 class TestComputePoint:
@@ -89,7 +125,7 @@ class TestRunSweep:
         assert all(r.dim == 527 for r in rows)
 
     def test_rows_keep_grid_order_when_points_finish_out_of_order(self, tmp_path):
-        # the first point is solved while the cached later ones finish ahead of it
+        # the first point is solved in a worker; the sweep builds the cached later ones itself
         cache = SpectrumCache(tmp_path / "cache")
         for kappa, lam in [(0.0, 0.9), (0.7, 0.2), (0.7, 0.9)]:
             compute_point(replace(BASE, kappa=kappa, lambda_=lam), cache=cache)
@@ -130,6 +166,89 @@ class TestRunSweep:
         assert len(rows) == 4
         assert all(r.error for r in rows)
         assert all(math.isnan(r.eta) for r in rows)
+
+
+class TestCacheHitsInParent:
+    """A sweep reads its cache hits itself and spawns workers only for the misses."""
+
+    def test_bytes_independent_of_workers_and_cache_warmth(self, tmp_path):
+        csvs = {}
+        for workers in (1, 2):
+            cache = tmp_path / f"cache{workers}"
+            for warmth in ("cold", "warm"):
+                csvs[warmth, workers] = sweep_csv(tmp_path / f"{warmth}{workers}",
+                                                  workers=workers, cache_dir=cache)
+            mixed = fill_cache(tmp_path / f"mixed_cache{workers}", GRID[1:3])
+            csvs["mixed", workers] = sweep_csv(tmp_path / f"mixed{workers}",
+                                               workers=workers, cache_dir=mixed)
+        assert len(set(csvs.values())) == 1, sorted(csvs)
+
+    def test_all_hit_sweep_starts_no_process(self, tmp_path, monkeypatch):
+        cache = fill_cache(tmp_path / "cache", GRID)
+        expected = sweep_csv(tmp_path / "uncached")
+
+        def no_processes(*args, **kwargs):
+            raise AssertionError("an all-hit sweep started a process")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_processes)
+        assert sweep_csv(tmp_path / "warm", workers=2, cache_dir=cache) == expected
+
+    @pytest.mark.parametrize("workers, cached, pool_size", [(2, 1, 2), (4, 3, 1)])
+    def test_pool_gets_one_process_per_miss_up_to_workers(self, tmp_path, monkeypatch,
+                                                          workers, cached, pool_size):
+        cache = fill_cache(tmp_path / "cache", GRID[:cached])
+        sizes = []
+        spawn = multiprocessing.get_context("spawn")
+
+        class SpyContext:
+            @staticmethod
+            def Pool(processes):
+                sizes.append(processes)
+                return spawn.Pool(processes)
+
+        monkeypatch.setattr(multiprocessing, "get_context", lambda method: SpyContext)
+        rows = run_sweep(small_config(tmp_path, workers=workers, cache_dir=cache))
+        assert sizes == [pool_size]
+        assert [(r.kappa, r.lambda_) for r in rows] == GRID
+        assert all(r.dim == 527 for r in rows)
+
+    def test_blas_thread_count_never_changes_warm_bytes(self, tmp_path):
+        """Warm rows are computed in the sweep's own process, whatever its BLAS threads."""
+        config = sweep_config_file(tmp_path, fill_cache(tmp_path / "cache", GRID))
+        src = str(Path(dicke_chaos.__file__).resolve().parent.parent)
+        csvs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            subprocess.run([sys.executable, "-m", "dicke_chaos.cli", "sweep", "--config",
+                            str(config), "--out", str(out)],
+                           env=env, capture_output=True, check=True, timeout=300)
+            csvs.append((out / "sweep.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
+    def test_truncated_entry_is_an_error_row_and_the_sweep_goes_on(self, tmp_path):
+        cache_dir = fill_cache(tmp_path / "cache", GRID)
+        config = sweep_config_file(tmp_path, cache_dir, workers=2)
+        args = ["sweep", "--config", str(config), "--out"]
+        assert main([*args, str(tmp_path / "clean")]) == 0
+        clean = (tmp_path / "clean" / "sweep.csv").read_text().splitlines()
+
+        cache = SpectrumCache(cache_dir)
+        bad = replace(BASE, kappa=0.7, lambda_=0.2)
+        path = cache._path(cache._key_json(bad, Parity.EVEN, KIND_ENERGIES))
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-8])
+        out = tmp_path / "corrupt"
+        assert main([*args, str(out)]) == 0
+
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[3] == "0.69999999999999996,0.20000000000000001,0,0,nan,nan,nan,nan,nan,0"
+        assert lines[:3] + lines[4:] == clean[:3] + clean[4:]
+        error = (f"CacheFormatError: {path}: truncated or over-long "
+                 f"({len(blob) - 8} bytes, expected {len(blob)})")
+        assert (out / "sweep_errors.json").read_text() == json.dumps(
+            [{"kappa": 0.7, "lambda": 0.2, "error": error}], indent=2) + "\n"
 
 
 class TestCsv:
