@@ -9,8 +9,11 @@ File layout (all integers little-endian):
     uint64    element count
     ...       float64 array, little-endian
 
-The cache is append-only: entries are written once via an atomic rename and
-never mutated, so concurrent sweep workers can share one directory.
+Each entry is written whole to a temporary file and moved into place by an
+atomic rename, so concurrent sweep workers can share one directory and a reader
+never sees a partial write.  A malformed entry (truncated, say) raises
+CacheFormatError on load; the sweep treats it as a miss, solves the point again
+and the rewrite replaces it.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ def cache_key(params: ModelParams, sector: Parity | None, kind: str,
 
 
 class SpectrumCache:
-    """Append-only directory of float64 payloads keyed by parameter hash."""
+    """Directory of float64 payloads keyed by parameter hash."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
@@ -122,11 +125,10 @@ class SpectrumCache:
 
     def store(self, params: ModelParams, sector: Parity | None, kind: str,
               values: np.ndarray, tail_width: int | None = None) -> None:
-        """Write one payload if absent (existing entries are never rewritten)."""
+        """Write one payload through an atomic rename, replacing any entry already there
+        (it is only called after a miss, so that entry was malformed)."""
         key_json = self._key_json(params, sector, kind, tail_width)
         path = self._path(key_json)
-        if path.exists():
-            return
         key_bytes = key_json.encode("utf-8")
         arr = np.ascontiguousarray(values, dtype="<f8")
         tmp = path.with_suffix(f".tmp.{os.getpid()}")

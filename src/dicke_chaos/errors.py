@@ -6,7 +6,11 @@ class DickeChaosError(Exception):
 
 
 class AllocationTooLarge(DickeChaosError):
-    """Requested dense matrix exceeds the configured dimension cap."""
+    """A dense D x D Hamiltonian (``HamiltonianMatrix.entries``) would exceed ``MAX_DENSE_DIM``.
+
+    Only the dense matrix is capped: the band storage and the eigenvalue-only
+    solve work at any D.
+    """
 
 
 class ConvergenceFailure(DickeChaosError):

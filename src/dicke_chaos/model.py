@@ -13,6 +13,12 @@ elements are
 so every off-diagonal coupling changes n by +-1 and m by +-1 simultaneously.
 Since j + m + n changes by 0 or +-2, the parity e^{i pi (j + Jz + a^dag a)}
 is conserved and the matrix is block diagonal in the even/odd sectors.
+
+In the n-major basis order every coupling joins Fock layer n to n + 1, so each
+block is banded.  :func:`build_hamiltonian` writes it straight into LAPACK
+lower band storage, O(D b) memory for half-bandwidth b; the dense D x D matrix
+is made only on demand (``HamiltonianMatrix.entries``), for the eigenvector
+solve and as the test oracle, and only up to ``MAX_DENSE_DIM``.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import numpy as np
 
 from .errors import AllocationTooLarge
 
-#: Largest dense dimension assembled without complaint (D^2 doubles ~ 3.2 GB).
+#: Largest D whose dense matrix ``HamiltonianMatrix.entries`` builds (D^2 doubles ~ 3.2 GB).
 MAX_DENSE_DIM = 20_000
 
 
@@ -134,45 +140,65 @@ def hamiltonian_element(params: ModelParams, bra, ket) -> float:
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Dense symmetric Hamiltonian block together with its ordered basis.
+    """Symmetric Hamiltonian block in LAPACK lower band storage, with its ordered basis.
 
-    ``bandwidth`` is the exact half-bandwidth max |row - column| over the
-    non-zero entries: ``entries[i, k] == 0`` whenever ``|i - k| > bandwidth``.
-    It is 0 when the block has no couplings (lambda = 0, or a single state).
-    In the n-major basis order every coupling joins layer n to layer n + 1, so
-    it is at most 2j + 2 whatever n_cutoff is (17 for the even sector at
-    j = 16, where D = 5297).
+    ``band[d, i] = H[i + d, i]`` for d = 0..bandwidth; every slot past the end
+    of a row (``band[d, dim - d:]``) is 0.  ``bandwidth`` is the exact
+    half-bandwidth max |row - column| over the non-zero couplings, so the band
+    holds the whole matrix.  It is 0 when the block has no couplings
+    (lambda = 0, or a single state).  In the n-major basis order every coupling
+    joins layer n to layer n + 1, so it is at most 2j + 2 whatever n_cutoff is
+    (17 for the even sector at j = 16, where D = 5297): the block takes
+    O(D b) memory.
     """
 
-    dim: int
-    entries: np.ndarray
+    band: np.ndarray
     basis: np.recarray
-    bandwidth: int
+
+    @property
+    def dim(self) -> int:
+        return self.band.shape[1]
+
+    @property
+    def bandwidth(self) -> int:
+        return self.band.shape[0] - 1
+
+    @property
+    def entries(self) -> np.ndarray:
+        """A fresh dense symmetric copy of H, D x D in Fortran order (8 D^2 bytes).
+
+        Each access builds a new array, so a solver may overwrite it in place.
+
+        Raises
+        ------
+        AllocationTooLarge
+            If D exceeds ``MAX_DENSE_DIM``, before anything is allocated.
+        """
+        dim = self.dim
+        if dim > MAX_DENSE_DIM:
+            raise AllocationTooLarge(
+                f"dense matrix of dimension {dim} exceeds cap {MAX_DENSE_DIM}; "
+                "reduce n_cutoff or j"
+            )
+        h = np.zeros((dim, dim), order="F")
+        for d, row in enumerate(self.band):
+            i = np.arange(dim - d)
+            h[i + d, i] = row[: dim - d]
+            h[i, i + d] = row[: dim - d]
+        return h
 
 
-def build_hamiltonian(
-    params: ModelParams,
-    sector: Parity | None,
-    dim_cap: int = MAX_DENSE_DIM,
-) -> HamiltonianMatrix:
-    """Assemble the dense symmetric Hamiltonian over one parity sector.
+def build_hamiltonian(params: ModelParams, sector: Parity | None) -> HamiltonianMatrix:
+    """Assemble the Hamiltonian over one parity sector straight into band storage.
 
     Iterates the selection rule directly (each state has at most four
-    couplings), so assembly is O(D) in work on top of the O(D^2) zero fill.
-    Both (i, k) and (k, i) are written from the same float, never symmetrized
-    after the fact.  The half-bandwidth is read off the same couplings.
-
-    Raises
-    ------
-    AllocationTooLarge
-        If the sector dimension exceeds ``dim_cap``; reduce n_cutoff or j.
+    couplings): the half-bandwidth is read off the couplings, then each one is
+    written once into the lower band, so assembly is O(D) in work and O(D b) in
+    memory.  No dense matrix is made; :attr:`HamiltonianMatrix.entries` builds
+    one on demand.
     """
     basis = enumerate_basis(params, sector)
     dim = len(basis)
-    if dim > dim_cap:
-        raise AllocationTooLarge(
-            f"sector dimension {dim} exceeds cap {dim_cap}; reduce n_cutoff or j"
-        )
     twoj = params.n_atoms
     n_atoms = float(twoj)
     j = params.j
@@ -185,26 +211,24 @@ def build_hamiltonian(
     pos = np.full((nc + 1, twoj + 1), -1, dtype=np.int64)
     pos[n, k] = np.arange(dim)
 
-    h = np.zeros((dim, dim))
-    diag = params.omega * n + params.omega0 * m + params.kappa * m * m / n_atoms
-    h[np.arange(dim), np.arange(dim)] = diag
-
     g = params.lambda_ / math.sqrt(n_atoms)
-    bandwidth = 0
+    couplings = []  # (src, dst, value): dst is in layer n + 1, so dst > src
     for dk in (+1, -1):
         tk = k + dk
         ok = (n + 1 <= nc) & (tk >= 0) & (tk <= twoj)
         src = np.nonzero(ok)[0]
-        if src.size == 0:
-            continue
         dst = pos[n[src] + 1, tk[src]]
         inside = dst >= 0
         src, dst = src[inside], dst[inside]
-        mm = m[src]
-        val = g * np.sqrt(n[src] + 1.0) * np.sqrt(j * (j + 1) - mm * (mm + dk))
-        h[src, dst] = val
-        h[dst, src] = val
         if g != 0.0 and src.size:
-            bandwidth = max(bandwidth, int(np.max(np.abs(dst - src))))
+            mm = m[src]
+            couplings.append(
+                (src, dst, g * np.sqrt(n[src] + 1.0) * np.sqrt(j * (j + 1) - mm * (mm + dk)))
+            )
 
-    return HamiltonianMatrix(dim=dim, entries=h, basis=basis, bandwidth=bandwidth)
+    bandwidth = max((int(np.max(dst - src)) for src, dst, _ in couplings), default=0)
+    band = np.zeros((bandwidth + 1, dim))
+    band[0] = params.omega * n + params.omega0 * m + params.kappa * m * m / n_atoms
+    for src, dst, val in couplings:
+        band[dst - src, src] = val
+    return HamiltonianMatrix(band=band, basis=basis)

@@ -1,8 +1,9 @@
 """Diagonalization, energy-window filtering and Fock-cutoff convergence.
 
-Eigenvalues alone come from the band of H (LAPACK ``sbevd``, O(D^2 b) work for
-half-bandwidth b, against O(D^3) dense); eigenvectors come from the dense
-divide-and-conquer ``evd``.
+Eigenvalues alone come from the band storage of H (LAPACK ``sbevd``, O(D^2 b)
+work and O(D b) memory for half-bandwidth b, against O(D^3) and 8 D^2 bytes
+dense); eigenvectors come from the dense divide-and-conquer ``evd``, which
+overwrites the dense copy of H it is given.
 
 Every E/N window in the package is cut by ``_window_mask``: the analysis window
 here and the mid window in ``eigenstate_stats.collect_coefficients``.
@@ -10,7 +11,7 @@ here and the mid window in ``eigenstate_stats.collect_coefficients``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -50,34 +51,30 @@ def _fix_phases(vectors: np.ndarray) -> None:
     vectors *= signs
 
 
-def _lower_band(h: HamiltonianMatrix) -> np.ndarray:
-    """LAPACK lower band storage of ``h``: ``ab[d, i] = h[i + d, i]`` for d = 0..bandwidth."""
-    ab = np.zeros((h.bandwidth + 1, h.dim))
-    for d in range(h.bandwidth + 1):
-        ab[d, : h.dim - d] = np.diagonal(h.entries, -d)
-    return ab
-
-
 def diagonalize(h: HamiltonianMatrix, want_vectors: bool = False) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric Hamiltonian block.
 
     Uses LAPACK via scipy.  Eigenvalues alone come from the symmetric-band
-    driver ``sbevd`` on the ``h.bandwidth + 1`` lower diagonals, which hold the
-    whole matrix, since every entry outside them is zero.  With vectors, the
-    dense divide-and-conquer ``evd`` runs on ``h.entries``.  Both return the
+    driver ``sbevd`` on ``h.band``, which holds the whole matrix; no dense
+    matrix is made, so this route needs O(D b) memory at any D.  With vectors,
+    the dense divide-and-conquer ``evd`` runs on a fresh ``h.entries`` and
+    overwrites it with the eigenvectors, which come back in Fortran order (about
+    3 x 8 D^2 bytes at the peak with LAPACK's workspace).  Both return the
     eigenvalues ascending, so their order is kept as it comes.
 
     Raises
     ------
+    AllocationTooLarge
+        With vectors, if D exceeds ``model.MAX_DENSE_DIM``.
     ConvergenceFailure
         If the LAPACK routine does not converge (not expected for this model).
     """
     try:
         if want_vectors:
-            w, v = scipy.linalg.eigh(h.entries, driver=VECTORS_DRIVER)
+            w, v = scipy.linalg.eigh(h.entries, driver=VECTORS_DRIVER, overwrite_a=True)
             _fix_phases(v)
         else:
-            w = scipy.linalg.eig_banded(_lower_band(h), lower=True, eigvals_only=True)
+            w = scipy.linalg.eig_banded(h.band, lower=True, eigvals_only=True)
             v = None
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
@@ -97,7 +94,7 @@ class SpectralDataset:
 
     ``coefficients[nu, k]`` is the component of retained eigenstate k on basis
     state nu (ordering from the originating Hamiltonian block, carried along in
-    ``basis``).  ``converged`` is filled in by :func:`check_convergence`.
+    ``basis``).
     """
 
     params: ModelParams
@@ -105,7 +102,6 @@ class SpectralDataset:
     coefficients: np.ndarray | None
     window_indices: np.ndarray
     basis: np.recarray
-    converged: np.ndarray | None = field(default=None)
 
 
 def filter_energy_window(eig: EigenDecomposition, params: ModelParams) -> SpectralDataset:
@@ -151,10 +147,8 @@ def check_convergence(
     """Flag each retained state as converged against the Fock truncation.
 
     A state passes when its weight on the top ``tail_width`` Fock layers is
-    below ``tol``.  Stores the flags on the dataset and returns them together
-    with the converged fraction.
+    below ``tol``.  Returns the flags together with the converged fraction.
     """
     weights = tail_weights(ds, tail_width)
     flags = weights < tol
-    ds.converged = flags
     return flags, float(flags.mean())

@@ -39,7 +39,7 @@ from .eigenstate_stats import (
     collect_coefficients,
     kl_divergence,
 )
-from .errors import DickeChaosError, EmptyWindow, OutputUnwritable, UsageError
+from .errors import CacheFormatError, DickeChaosError, EmptyWindow, OutputUnwritable, UsageError
 from .model import ModelParams, Parity, build_hamiltonian
 from .spectral_stats import (
     DEFAULT_FIT_DEGREE,
@@ -161,15 +161,18 @@ def _point_data(params: ModelParams, energies: np.ndarray, tail: np.ndarray | No
 def load_point_data(params: ModelParams, cache: SpectrumCache,
                     want_vectors: bool = True) -> PointData | None:
     """The cached record for one point, or None unless every payload it needs is
-    cached; a corrupt payload raises CacheFormatError."""
+    cached and well-formed: a corrupt payload is a miss, which the solve rewrites."""
     sector = Parity.EVEN
-    energies = cache.load(params, sector, KIND_ENERGIES if want_vectors else KIND_EIGVALS)
-    if energies is None:
+    try:
+        energies = cache.load(params, sector, KIND_ENERGIES if want_vectors else KIND_EIGVALS)
+        if energies is None:
+            return None
+        if not want_vectors:
+            return _point_data(params, energies, None, None)
+        mid = cache.load(params, sector, KIND_MID_COEFFS)
+        tail = cache.load(params, sector, KIND_TAIL_WEIGHTS, tail_width=DEFAULT_TAIL_WIDTH)
+    except CacheFormatError:
         return None
-    if not want_vectors:
-        return _point_data(params, energies, None, None)
-    mid = cache.load(params, sector, KIND_MID_COEFFS)
-    tail = cache.load(params, sector, KIND_TAIL_WEIGHTS, tail_width=DEFAULT_TAIL_WIDTH)
     if mid is None or tail is None:
         return None
     return _point_data(params, energies, tail, mid)
@@ -297,8 +300,9 @@ def point_row(params: ModelParams, data: PointData, fit_degree: int = DEFAULT_FI
 def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
     """Run the full grid and return rows ordered (kappa asc, lambda asc).
 
-    This process builds the rows of the cache hits (a corrupt entry makes an error
-    row, as in :func:`compute_point`); only the misses go to a pool of
+    This process builds the rows of the cache hits (a corrupt entry is a miss, and
+    its solve rewrites it; any other failure makes an error row, as in
+    :func:`compute_point`); only the misses go to a pool of
     ``min(workers, misses)`` spawned processes, so an all-hit grid starts none.
     Both end in :func:`point_row`, and each solved row returns to its miss's place.
     """

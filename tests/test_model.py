@@ -9,8 +9,10 @@ from dicke_chaos import (
     ModelParams,
     Parity,
     build_hamiltonian,
+    diagonalize,
     enumerate_basis,
     hamiltonian_element,
+    model,
 )
 from dicke_chaos.errors import AllocationTooLarge
 
@@ -148,9 +150,10 @@ class TestBuildHamiltonian:
         p = ModelParams(omega=0.9, omega0=1.3, lambda_=0.7, kappa=0.4, j=1.5, n_cutoff=5)
         for sector in (Parity.EVEN, Parity.ODD, None):
             h = build_hamiltonian(p, sector)
+            entries = h.entries  # each read builds a new dense copy
             for i, bra in enumerate(h.basis):
                 for k, ket in enumerate(h.basis):
-                    assert h.entries[i, k] == pytest.approx(
+                    assert entries[i, k] == pytest.approx(
                         hamiltonian_element(p, bra, ket), abs=1e-14
                     )
 
@@ -192,10 +195,36 @@ class TestBuildHamiltonian:
         h2 = build_hamiltonian(ModelParams(**scaled), Parity.EVEN).entries
         np.testing.assert_allclose(h2, c * h1, rtol=1e-14, atol=1e-14)
 
-    def test_dimension_cap(self):
-        p = ModelParams(j=16.0, n_cutoff=320)
+    def test_dimension_cap(self, monkeypatch):
+        # the cap guards only the dense matrix: the band and its eigenvalues go past it
+        monkeypatch.setattr(model, "MAX_DENSE_DIM", 1000)
+        h = build_hamiltonian(ModelParams(lambda_=0.5, j=16.0, n_cutoff=320), Parity.EVEN)
+        assert h.dim == 5297
+        assert diagonalize(h).energies.size == 5297
         with pytest.raises(AllocationTooLarge):
-            build_hamiltonian(p, Parity.EVEN, dim_cap=1000)
+            h.entries
+
+    def test_entries_is_a_fresh_fortran_copy(self):
+        h = build_hamiltonian(ModelParams(lambda_=0.7, kappa=0.4, j=2.0, n_cutoff=11), None)
+        first = h.entries
+        expected = first.copy()
+        first[:] = 7.0  # as a solver overwriting its copy would
+        second = h.entries
+        assert second.flags.f_contiguous and second.shape == (h.dim, h.dim)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(second, expected)
+
+    @pytest.mark.parametrize("sector", [Parity.EVEN, Parity.ODD, None])
+    @pytest.mark.parametrize("j, n_cutoff", [(0.5, 7), (2.0, 11), (2.5, 9), (6.0, 40)])
+    def test_band_matches_scalar_elements(self, j, n_cutoff, sector):
+        # band[d, i] = H[i + d, i] straight from the selection rule; slots past a row's end are 0
+        p = ModelParams(omega=0.9, omega0=1.3, lambda_=0.7, kappa=0.4, j=j, n_cutoff=n_cutoff)
+        h = build_hamiltonian(p, sector)
+        assert h.band.shape == (h.bandwidth + 1, h.dim)
+        for d in range(h.bandwidth + 1):
+            for i in range(h.dim - d):
+                assert h.band[d, i] == hamiltonian_element(p, h.basis[i + d], h.basis[i])
+            assert np.all(h.band[d, h.dim - d:] == 0.0)
 
     @pytest.mark.parametrize("sector", [Parity.EVEN, Parity.ODD, None])
     @pytest.mark.parametrize("j, n_cutoff", [(0.5, 7), (2.0, 11), (2.5, 9), (6.0, 40)])

@@ -1,5 +1,7 @@
 """Diagonalization, window filtering, convergence checks and the spectrum cache."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -18,7 +20,7 @@ from dicke_chaos import (
 )
 from dicke_chaos.cache import KIND_EIGVALS, KIND_ENERGIES, KIND_MID_COEFFS, cache_key
 from dicke_chaos.errors import CacheFormatError, EmptyWindow, MissingVectors
-from dicke_chaos.spectrum import _lower_band
+from dicke_chaos.spectrum import _fix_phases
 
 
 def solve(params, sector=Parity.EVEN, want_vectors=False):
@@ -110,26 +112,23 @@ class TestBandedSolve:
     @pytest.mark.parametrize("j, n_cutoff, sector", SMALL_BLOCKS)
     def test_band_rebuilds_dense_matrix(self, j, n_cutoff, sector):
         h = build_hamiltonian(ModelParams(lambda_=0.7, kappa=0.4, j=j, n_cutoff=n_cutoff), sector)
-        ab = _lower_band(h)
-        assert ab.shape == (h.bandwidth + 1, h.dim)
-        assert np.array_equal(dense_from_band(ab), h.entries)
+        assert h.band.shape == (h.bandwidth + 1, h.dim)
+        assert np.array_equal(dense_from_band(h.band), h.entries)
 
     @pytest.mark.parametrize("sector", [Parity.EVEN, Parity.ODD, None])
     def test_uncoupled_band_is_the_diagonal(self, sector):
         h = build_hamiltonian(ModelParams(lambda_=0.0, kappa=0.6, j=2.5, n_cutoff=9), sector)
-        ab = _lower_band(h)
-        assert h.bandwidth == 0 and ab.shape == (1, h.dim)
-        assert np.array_equal(dense_from_band(ab), h.entries)
+        assert h.bandwidth == 0 and h.band.shape == (1, h.dim)
+        assert np.array_equal(dense_from_band(h.band), h.entries)
         assert np.array_equal(diagonalize(h).energies, np.sort(np.diag(h.entries)))
 
     def test_two_by_two_toy_band(self):
         p = ModelParams(omega=1.0, omega0=0.5, lambda_=0.3, kappa=0.2, j=0.5, n_cutoff=1)
         h = build_hamiltonian(p, Parity.EVEN)
-        ab = _lower_band(h)
         assert h.bandwidth == 1
-        assert np.array_equal(ab[1, :1], h.entries[1, :1])
-        assert ab[1, 1] == 0.0
-        assert np.array_equal(dense_from_band(ab), h.entries)
+        assert np.array_equal(h.band[1, :1], h.entries[1, :1])
+        assert h.band[1, 1] == 0.0
+        assert np.array_equal(dense_from_band(h.band), h.entries)
 
     @pytest.mark.parametrize("j, n_cutoff, sector", SMALL_BLOCKS)
     @pytest.mark.parametrize("lam, kappa", [(0.1, 0.0), (0.7, 0.4), (1.5, 1.2)])
@@ -142,6 +141,28 @@ class TestBandedSolve:
                               Parity.EVEN)
         assert h.dim == 5297 and h.bandwidth == 17
         assert np.max(np.abs(diagonalize(h).energies - evr_oracle(h))) <= 1e-10
+
+    def test_values_route_holds_no_dense_matrix(self):
+        p = ModelParams(lambda_=1.0, kappa=0.5, j=8.0, n_cutoff=160)
+        tracemalloc.start()
+        try:
+            h = build_hamiltonian(p, Parity.EVEN)
+            energies = diagonalize(h).energies
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.dim == energies.size == 1369
+        assert peak < 8 * h.dim**2
+
+    @pytest.mark.parametrize("j, n_cutoff, sector", SMALL_BLOCKS)
+    def test_vector_route_matches_evd_on_a_copy(self, j, n_cutoff, sector):
+        h = build_hamiltonian(ModelParams(lambda_=0.7, kappa=0.4, j=j, n_cutoff=n_cutoff), sector)
+        w, v = scipy.linalg.eigh(h.entries, driver="evd")
+        _fix_phases(v)
+        eig = diagonalize(h, want_vectors=True)
+        assert eig.vectors.flags.f_contiguous
+        assert np.array_equal(eig.energies, w)
+        assert np.array_equal(eig.vectors, v)
 
     def test_cache_key_names_the_solver(self):
         p = ModelParams(lambda_=0.7, j=2.0, n_cutoff=11)
@@ -189,7 +210,6 @@ class TestConvergence:
         ds = filter_energy_window(solve(p, want_vectors=True), p)
         flags, fraction = check_convergence(ds, tail_width=20, tol=1e-6)
         assert fraction == 1.0
-        assert ds.converged is flags
 
     def test_pure_tail_state_flagged(self):
         p = ModelParams(j=0.5, n_cutoff=5, energy_window=(0.0, 100.0))
@@ -257,12 +277,17 @@ class TestSpectrumCache:
         assert cache.load(p2, Parity.EVEN, KIND_ENERGIES) is None
         assert cache.load(p1, Parity.EVEN, KIND_MID_COEFFS) is None
 
-    def test_append_only(self, tmp_path):
+    def test_store_replaces_a_malformed_entry(self, tmp_path):
         cache = SpectrumCache(tmp_path)
         p = ModelParams(j=1.0, n_cutoff=8)
-        cache.store(p, Parity.EVEN, KIND_ENERGIES, np.array([1.0]))
-        cache.store(p, Parity.EVEN, KIND_ENERGIES, np.array([9.0]))  # ignored
-        assert np.array_equal(cache.load(p, Parity.EVEN, KIND_ENERGIES), [1.0])
+        cache.store(p, Parity.EVEN, KIND_ENERGIES, np.array([1.0, 2.0]))
+        path = next(tmp_path.glob("*.spec"))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(CacheFormatError):
+            cache.load(p, Parity.EVEN, KIND_ENERGIES)
+        cache.store(p, Parity.EVEN, KIND_ENERGIES, np.array([1.0, 2.0]))
+        assert np.array_equal(cache.load(p, Parity.EVEN, KIND_ENERGIES), [1.0, 2.0])
+        assert [q.name for q in tmp_path.iterdir()] == [path.name]
 
     def test_bad_magic_raises(self, tmp_path):
         cache = SpectrumCache(tmp_path)

@@ -227,28 +227,30 @@ class TestCacheHitsInParent:
             csvs.append((out / "sweep.csv").read_bytes())
         assert csvs[0] == csvs[1]
 
-    def test_truncated_entry_is_an_error_row_and_the_sweep_goes_on(self, tmp_path):
+    def test_truncated_entry_is_a_miss_and_its_solve_rewrites_it(self, tmp_path, monkeypatch):
         cache_dir = fill_cache(tmp_path / "cache", GRID)
         config = sweep_config_file(tmp_path, cache_dir, workers=2)
         args = ["sweep", "--config", str(config), "--out"]
         assert main([*args, str(tmp_path / "clean")]) == 0
-        clean = (tmp_path / "clean" / "sweep.csv").read_text().splitlines()
+        clean = (tmp_path / "clean" / "sweep.csv").read_bytes()
 
         cache = SpectrumCache(cache_dir)
         bad = replace(BASE, kappa=0.7, lambda_=0.2)
+        payload = cache.load(bad, Parity.EVEN, KIND_ENERGIES)
         path = cache._path(cache._key_json(bad, Parity.EVEN, KIND_ENERGIES))
-        blob = path.read_bytes()
-        path.write_bytes(blob[:-8])
+        path.write_bytes(path.read_bytes()[:-8])
         out = tmp_path / "corrupt"
         assert main([*args, str(out)]) == 0
+        assert (out / "sweep.csv").read_bytes() == clean
+        assert not (out / "sweep_errors.json").exists()
+        assert np.array_equal(cache.load(bad, Parity.EVEN, KIND_ENERGIES), payload)
 
-        lines = (out / "sweep.csv").read_text().splitlines()
-        assert lines[3] == "0.69999999999999996,0.20000000000000001,0,0,nan,nan,nan,nan,nan,0"
-        assert lines[:3] + lines[4:] == clean[:3] + clean[4:]
-        error = (f"CacheFormatError: {path}: truncated or over-long "
-                 f"({len(blob) - 8} bytes, expected {len(blob)})")
-        assert (out / "sweep_errors.json").read_text() == json.dumps(
-            [{"kappa": 0.7, "lambda": 0.2, "error": error}], indent=2) + "\n"
+        def no_processes(*args, **kwargs):
+            raise AssertionError("a sweep on a healed cache started a process")
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_processes)
+        assert main([*args, str(tmp_path / "rerun")]) == 0
+        assert (tmp_path / "rerun" / "sweep.csv").read_bytes() == clean
 
 
 class TestCsv:
