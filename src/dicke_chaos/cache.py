@@ -126,16 +126,21 @@ class SpectrumCache:
     def store(self, params: ModelParams, sector: Parity | None, kind: str,
               values: np.ndarray, tail_width: int | None = None) -> None:
         """Write one payload through an atomic rename, replacing any entry already there
-        (it is only called after a miss, so that entry was malformed)."""
+        (it is only called after a miss, so that entry was malformed).  If the write
+        or the rename fails, the temporary file is removed and the error re-raised."""
         key_json = self._key_json(params, sector, kind, tail_width)
         path = self._path(key_json)
         key_bytes = key_json.encode("utf-8")
         arr = np.ascontiguousarray(values, dtype="<f8")
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", VERSION, len(key_bytes)))
-            fh.write(key_bytes)
-            fh.write(struct.pack("<Q", arr.size))
-            fh.write(arr.tobytes())
-        os.replace(tmp, path)
+        try:
+            with open(tmp, "wb") as fh:
+                fh.write(MAGIC)
+                fh.write(struct.pack("<II", VERSION, len(key_bytes)))
+                fh.write(key_bytes)
+                fh.write(struct.pack("<Q", arr.size))
+                fh.write(arr.tobytes())
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise

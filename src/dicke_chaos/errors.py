@@ -8,8 +8,9 @@ class DickeChaosError(Exception):
 class AllocationTooLarge(DickeChaosError):
     """A dense D x D Hamiltonian (``HamiltonianMatrix.entries``) would exceed ``MAX_DENSE_DIM``.
 
-    Only the dense matrix is capped: the band storage and the eigenvalue-only
-    solve work at any D.
+    Only the dense matrix is capped, and only the dense oracle solve
+    (``diagonalize(h, want_vectors=True)``) makes it: the band storage, the
+    eigenvalue solve and the windowed eigenvectors of the pipeline work at any D.
     """
 
 

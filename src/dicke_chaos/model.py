@@ -16,9 +16,11 @@ is conserved and the matrix is block diagonal in the even/odd sectors.
 
 In the n-major basis order every coupling joins Fock layer n to n + 1, so each
 block is banded.  :func:`build_hamiltonian` writes it straight into LAPACK
-lower band storage, O(D b) memory for half-bandwidth b; the dense D x D matrix
-is made only on demand (``HamiltonianMatrix.entries``), for the eigenvector
-solve and as the test oracle, and only up to ``MAX_DENSE_DIM``.
+lower band storage, O(D b) memory for half-bandwidth b, and both solves of the
+pipeline (eigenvalues, and windowed eigenvectors by inverse iteration) work on
+that band.  The dense D x D matrix is made only on demand
+(``HamiltonianMatrix.entries``), for the dense oracle solve, and only up to
+``MAX_DENSE_DIM``.
 """
 
 from __future__ import annotations

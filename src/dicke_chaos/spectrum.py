@@ -1,9 +1,12 @@
 """Diagonalization, energy-window filtering and Fock-cutoff convergence.
 
-Eigenvalues alone come from the band storage of H (LAPACK ``sbevd``, O(D^2 b)
-work and O(D b) memory for half-bandwidth b, against O(D^3) and 8 D^2 bytes
-dense); eigenvectors come from the dense divide-and-conquer ``evd``, which
-overwrites the dense copy of H it is given.
+Eigenvalues come from the band storage of H (LAPACK ``sbevd``, O(D^2 b) work and
+O(D b) memory for half-bandwidth b, against O(D^3) and 8 D^2 bytes dense).  The
+eigenvectors of the windowed states come from banded inverse iteration
+(:func:`windowed_eigenvectors`, LAPACK ``gbtrf``/``gbtrs``, O(D b^2) work and
+O(D b) memory per state), so neither route makes a D x D matrix.  The dense
+divide-and-conquer ``evd`` (``diagonalize(h, want_vectors=True)``) stays as the
+oracle the banded routes are tested against.
 
 Every E/N window in the package is cut by ``_window_mask``: the analysis window
 here and the mid window in ``eigenstate_stats.collect_coefficients``.
@@ -23,9 +26,18 @@ from .model import HamiltonianMatrix, ModelParams
 DEFAULT_TAIL_WIDTH = 20
 #: A state is converged when its probability weight in the tail stays below this.
 DEFAULT_TAIL_TOL = 1e-6
-#: LAPACK drivers of the two solves: banded eigenvalues only, dense with vectors.  Their
-#: eigenvalues differ in the last bits, so the cache key names the driver.
-VALUES_DRIVER, VECTORS_DRIVER = "sbevd", "evd"
+#: LAPACK drivers of the two routes: banded eigenvalues only, and banded eigenvalues
+#: plus inverse iteration for the windowed vectors.  The cache key names the driver, so
+#: entries of an earlier solver (the dense ``evd``, say) miss.
+VALUES_DRIVER, VECTORS_DRIVER = "sbevd", "sbevd+gbtrs"
+#: Inverse iteration accepts a solve once it certifies a residual below this times max|E|.
+RESIDUAL_TOL = 1e-12
+#: Adjacent eigenvalues closer than this times max|E| are reorthogonalized as a cluster.
+CLUSTER_TOL = 1e-5
+#: Solves per state before inverse iteration gives up.
+MAX_SOLVES = 4
+#: Seed of the inverse-iteration start vector, one for every state and point.
+START_SEED = 0
 
 
 @dataclass
@@ -59,8 +71,9 @@ def diagonalize(h: HamiltonianMatrix, want_vectors: bool = False) -> EigenDecomp
     matrix is made, so this route needs O(D b) memory at any D.  With vectors,
     the dense divide-and-conquer ``evd`` runs on a fresh ``h.entries`` and
     overwrites it with the eigenvectors, which come back in Fortran order (about
-    3 x 8 D^2 bytes at the peak with LAPACK's workspace).  Both return the
-    eigenvalues ascending, so their order is kept as it comes.
+    3 x 8 D^2 bytes at the peak with LAPACK's workspace).  That route is the
+    test oracle of :func:`windowed_eigenvectors`, which the pipeline uses.  Both
+    return the eigenvalues ascending, so their order is kept as it comes.
 
     Raises
     ------
@@ -71,7 +84,7 @@ def diagonalize(h: HamiltonianMatrix, want_vectors: bool = False) -> EigenDecomp
     """
     try:
         if want_vectors:
-            w, v = scipy.linalg.eigh(h.entries, driver=VECTORS_DRIVER, overwrite_a=True)
+            w, v = scipy.linalg.eigh(h.entries, driver="evd", overwrite_a=True)
             _fix_phases(v)
         else:
             w = scipy.linalg.eig_banded(h.band, lower=True, eigvals_only=True)
@@ -79,6 +92,72 @@ def diagonalize(h: HamiltonianMatrix, want_vectors: bool = False) -> EigenDecomp
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
     return EigenDecomposition(energies=w, vectors=v, basis=h.basis)
+
+
+def windowed_eigenvectors(band: np.ndarray, energies: np.ndarray,
+                          indices: np.ndarray) -> np.ndarray:
+    """Eigenvectors of the states ``indices`` by banded inverse iteration, D x k.
+
+    ``band`` is H in LAPACK lower band storage (``HamiltonianMatrix.band``),
+    ``energies`` its ascending eigenvalues from the band solve and ``indices``
+    ascending positions in them.  Each state costs one ``dgbtrf`` LU factorization
+    of H - E_i I in general band layout and, from one seeded start vector shared by
+    all states, one ``dgbtrs`` solve, or more until the growth of the solution
+    certifies a residual of at most ``RESIDUAL_TOL`` max|E|.  A residual fixes a
+    vector only to residual / gap, so a state with a neighbor closer than
+    ``CLUSTER_TOL`` max|E| always takes a second solve; runs of such states form a
+    cluster, and each vector is reorthogonalized against the cluster's earlier ones
+    (Dhillon, BIT 38 (1998) 685).  Nothing D x D is made: the factorization takes
+    (3b + 1) D doubles.  Phases are fixed as in :func:`diagonalize`.  A diagonal H
+    (bandwidth 0) has exact ties; its vectors are the unit vectors, ties in basis
+    order.
+
+    Raises
+    ------
+    ConvergenceFailure
+        If a state's residual is not certified after ``MAX_SOLVES`` solves.
+    """
+    dim, b = band.shape[1], band.shape[0] - 1
+    vectors = np.zeros((dim, indices.size), order="F")
+    if b == 0:
+        order = np.argsort(band[0], kind="stable")
+        vectors[order[indices], np.arange(indices.size)] = 1.0
+        return vectors
+    scale = float(np.max(np.abs(energies)))
+    tiny_pivot = np.finfo(float).eps * scale
+    # H in dgbtrf's layout, AB[2b + r - c, c] = H[r, c]; rows 0..b-1 take the fill-in.
+    general = np.zeros((3 * b + 1, dim), order="F")
+    for d, row in enumerate(band):
+        general[2 * b + d, : dim - d] = row[: dim - d]
+        general[2 * b - d, d:] = row[: dim - d]
+    start = np.random.default_rng(START_SEED).standard_normal(dim)
+    start /= np.linalg.norm(start)
+    gaps = np.diff(energies, prepend=-np.inf, append=np.inf)
+    close = np.minimum(gaps[:-1], gaps[1:]) <= CLUSTER_TOL * scale  # a neighbor this close
+    lu = np.empty_like(general)
+    first = 0  # column of the current cluster's first state
+    for col, i in enumerate(indices):
+        if col and energies[i] - energies[indices[col - 1]] > CLUSTER_TOL * scale:
+            first = col
+        np.copyto(lu, general)
+        lu[2 * b] -= energies[i]
+        lu, piv, _ = scipy.linalg.lapack.dgbtrf(lu, b, b, overwrite_ab=True)
+        diag = lu[2 * b]
+        diag[diag == 0.0] = tiny_pivot  # E_i is exact: a zero pivot of U would divide by 0
+        x = start
+        for solves in range(1, MAX_SOLVES + 1):
+            x, _ = scipy.linalg.lapack.dgbtrs(lu, b, b, x, piv)
+            mates = vectors[:, first:col]
+            x -= mates @ (mates.T @ x)
+            norm = np.linalg.norm(x)
+            x /= norm
+            if norm * RESIDUAL_TOL * scale >= 1.0 and solves > close[i]:
+                break
+        else:
+            raise ConvergenceFailure(f"inverse iteration did not converge for state {i}")
+        _fix_phases(x[:, None])  # column by column: no D x k temporary
+        vectors[:, col] = x
+    return vectors
 
 
 def _window_mask(energies: np.ndarray, n_atoms: int, window: tuple[float, float]) -> np.ndarray:

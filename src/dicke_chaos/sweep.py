@@ -1,12 +1,13 @@
 """(kappa, lambda) grid sweeps with caching, parallel workers and file output.
 
 Every point, for sweeps and the CLI alike, comes from :func:`compute_point_data`
-(the library's filter_energy_window, tail_weights and collect_coefficients behind
-the spectrum cache) and :func:`level_statistics`.  A sweep reads its cache hits in
-its own process and solves only the misses, in spawned worker processes; either
-way a row is :func:`point_row` of a :class:`PointData`, and the rows come back in
-grid order (kappa ascending, lambda ascending), so neither the worker count nor
-the cache warmth changes a single output byte.  A failed point turns into a row
+(the library's banded solve, filter_energy_window, windowed_eigenvectors,
+tail_weights and collect_coefficients behind the spectrum cache) and
+:func:`level_statistics`.  A sweep reads its cache hits in its own process and
+solves only the misses, in spawned worker processes; either way a row is
+:func:`point_row` of a :class:`PointData`, and the rows come back in grid order
+(kappa ascending, lambda ascending), so neither the worker count nor the cache
+warmth changes a single output byte.  A failed point turns into a row
 of NaN sentinels plus an entry in the errors sidecar instead of aborting the sweep.
 The config schema and its one reader, :func:`read_config`, live here too.
 """
@@ -59,6 +60,7 @@ from .spectrum import (
     diagonalize,
     filter_energy_window,
     tail_weights,
+    windowed_eigenvectors,
 )
 
 #: Environment variable pointing at the spectrum cache directory.
@@ -182,11 +184,13 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
                        want_vectors: bool = True) -> PointData:
     """Obtain the spectrum (and, if wanted, eigenvector summaries) for one point.
 
-    Consults the cache first (:func:`load_point_data`); on a miss builds and
-    diagonalizes the even-parity block and stores the results.  Cached payloads
-    are exact float64 copies and the two solves keep separate eigenvalue entries,
-    so a warm run reproduces a cold run of the same route bit for bit; empty
-    windows store empty arrays.
+    Consults the cache first (:func:`load_point_data`); on a miss builds the
+    even-parity block, solves its band for the eigenvalues and, with vectors,
+    finds the windowed eigenvectors by :func:`windowed_eigenvectors`, then stores
+    the results.  No D x D matrix is made on either route.  Cached payloads are
+    exact float64 copies and each route keeps its own eigenvalue entry, so a warm
+    run reproduces a cold run of the same route bit for bit; empty windows store
+    empty arrays.
     """
     if cache is not None:
         data = load_point_data(params, cache, want_vectors)
@@ -195,12 +199,14 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
 
     sector = Parity.EVEN
     energies_kind = KIND_ENERGIES if want_vectors else KIND_EIGVALS
-    eig = diagonalize(build_hamiltonian(params, sector), want_vectors=want_vectors)
+    h = build_hamiltonian(params, sector)
+    eig = diagonalize(h)
     mid = tail = None
     if want_vectors:
         mid = tail = np.zeros(0)  # what an empty analysis or mid window stores
         with contextlib.suppress(EmptyWindow):
             ds = filter_energy_window(eig, params)
+            ds.coefficients = windowed_eigenvectors(h.band, eig.energies, ds.window_indices)
             tail = tail_weights(ds, DEFAULT_TAIL_WIDTH)
             mid = collect_coefficients(ds).values
     if cache is not None:

@@ -7,6 +7,7 @@ import pytest
 
 import dicke_chaos.sweep as sweep
 from dicke_chaos import (
+    HamiltonianMatrix,
     ModelParams,
     Parity,
     SpectrumCache,
@@ -17,6 +18,7 @@ from dicke_chaos import (
     diagonalize,
     filter_energy_window,
     kl_divergence,
+    windowed_eigenvectors,
 )
 from dicke_chaos.cli import main
 
@@ -30,12 +32,23 @@ POINTS = [(0.9, 0.0), (0.3, 0.7), (0.0, 0.0)]
 def test_compute_point_matches_library_route(lam, kappa):
     params = ModelParams(j=6.0, n_cutoff=80, lambda_=lam, kappa=kappa)
     row = compute_point(params)
-    eig = diagonalize(build_hamiltonian(params, Parity.EVEN), want_vectors=True)
+    h = build_hamiltonian(params, Parity.EVEN)
+    eig = diagonalize(h)
     ds = filter_energy_window(eig, params)
+    ds.coefficients = windowed_eigenvectors(h.band, eig.energies, ds.window_indices)
     _, fraction = check_convergence(ds)
     assert row.n_levels == ds.energies.size
     assert row.d_kl == kl_divergence(collect_coefficients(ds))
     assert row.converged_fraction == fraction
+
+
+def test_vector_route_makes_no_dense_matrix(monkeypatch):
+    def no_dense(self):
+        raise AssertionError("the vector route built a dense matrix")
+
+    monkeypatch.setattr(HamiltonianMatrix, "entries", property(no_dense))
+    row = compute_point(ModelParams(j=6.0, n_cutoff=80, lambda_=0.9, kappa=0.0))
+    assert row.error is None and row.d_kl > 0
 
 
 def test_cache_hit_builds_no_hamiltonian(tmp_path, monkeypatch):

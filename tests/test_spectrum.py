@@ -1,5 +1,6 @@
 """Diagonalization, window filtering, convergence checks and the spectrum cache."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -14,13 +15,17 @@ from dicke_chaos import (
     SpectrumCache,
     build_hamiltonian,
     check_convergence,
+    collect_coefficients,
+    compute_point,
     diagonalize,
     enumerate_basis,
     filter_energy_window,
+    kl_divergence,
+    windowed_eigenvectors,
 )
 from dicke_chaos.cache import KIND_EIGVALS, KIND_ENERGIES, KIND_MID_COEFFS, cache_key
 from dicke_chaos.errors import CacheFormatError, EmptyWindow, MissingVectors
-from dicke_chaos.spectrum import _fix_phases
+from dicke_chaos.spectrum import _fix_phases, tail_weights
 
 
 def solve(params, sector=Parity.EVEN, want_vectors=False):
@@ -167,7 +172,154 @@ class TestBandedSolve:
     def test_cache_key_names_the_solver(self):
         p = ModelParams(lambda_=0.7, j=2.0, n_cutoff=11)
         assert cache_key(p, Parity.EVEN, KIND_EIGVALS)["solver"] == "sbevd"
-        assert cache_key(p, Parity.EVEN, KIND_ENERGIES)["solver"] == "evd"
+        assert cache_key(p, Parity.EVEN, KIND_ENERGIES)["solver"] == "sbevd+gbtrs"
+
+
+def windowed_pair(params):
+    """(inverse-iteration dataset, dense oracle dataset, H) for one point."""
+    h = build_hamiltonian(params, Parity.EVEN)
+    eig = diagonalize(h)
+    ds = filter_energy_window(eig, params)
+    ds.coefficients = windowed_eigenvectors(h.band, eig.energies, ds.window_indices)
+    return ds, filter_energy_window(diagonalize(h, want_vectors=True), params), h
+
+
+def nearest_gaps(energies, indices):
+    gaps = np.diff(energies)
+    return np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))[indices], gaps.mean()
+
+
+def assert_eigenpairs(h, ds):
+    """Orthonormal columns, and ||(H - E_i) v_i|| <= 1e-10 max|E| with H applied from the band."""
+    v = ds.coefficients
+    assert np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) <= 1e-8
+    hv = h.band[0][:, None] * v
+    for d in range(1, h.bandwidth + 1):
+        hv[d:] += h.band[d, : h.dim - d, None] * v[: h.dim - d]
+        hv[: h.dim - d] += h.band[d, : h.dim - d, None] * v[d:]
+    residual = np.linalg.norm(hv - v * ds.energies, axis=0)
+    assert np.max(residual) <= 1e-10 * np.max(np.abs(diagonalize(h).energies))
+
+
+def assert_matches_dense(params):
+    """Inverse iteration against the dense oracle.  A state closer to a neighbor than
+    1% of the mean spacing has a vector that no solver fixes to better than about
+    eps max|E| / gap, the dense one included, so its vector and its tail weight are
+    left to test_near_ties_match_extended_precision."""
+    ds, dense, h = windowed_pair(params)
+    assert np.array_equal(ds.window_indices, dense.window_indices)  # n_levels
+    assert np.array_equal(check_convergence(ds)[0], check_convergence(dense)[0])
+    d_kl = kl_divergence(collect_coefficients(ds))
+    assert d_kl == pytest.approx(kl_divergence(collect_coefficients(dense)), rel=1e-9)
+    v, k = ds.coefficients, ds.energies.size
+    assert v.shape == (h.dim, k)
+    energies = diagonalize(h).energies
+    assert_eigenpairs(h, ds)
+    nearest, spacing = nearest_gaps(energies, ds.window_indices)
+    apart = nearest >= 0.01 * spacing
+    tails = np.abs(tail_weights(ds) - tail_weights(dense))
+    assert np.max(tails[apart], initial=0.0) <= 1e-10
+    assert np.max(np.abs(v - dense.coefficients)[:, apart], initial=0.0) <= 1e-7
+    return ds, dense
+
+
+def long_double_inverse_iteration(h, energy, b, solves=3):
+    """Eigenvector of the dense long-double ``h`` (half-bandwidth ``b``) at ``energy``:
+    Gaussian elimination with partial pivoting on H - E I, from a flat start."""
+    n = h.shape[0]
+    a = h - np.longdouble(energy) * np.eye(n, dtype=h.dtype)
+    x = np.ones(n, dtype=h.dtype)
+    for _ in range(solves):
+        lu, y = a.copy(), x.copy()
+        for k in range(n):
+            rows, cols = slice(k, min(n, k + b + 1)), slice(k, min(n, k + 2 * b + 1))
+            p = k + np.argmax(np.abs(lu[rows, k]))
+            lu[[k, p], cols], y[[k, p]] = lu[[p, k], cols], y[[p, k]]
+            f = lu[k + 1 : rows.stop, k] / lu[k, k]
+            lu[k + 1 : rows.stop, cols] -= np.outer(f, lu[k, cols])
+            y[k + 1 : rows.stop] -= f * y[k]
+        for k in range(n - 1, -1, -1):
+            y[k] = (y[k] - lu[k, k + 1 : k + 2 * b + 1] @ y[k + 1 : k + 2 * b + 1]) / lu[k, k]
+        x = y / np.sqrt(y @ y)
+    return x
+
+
+ORACLE_POINTS = [(j, kappa, lam) for j in (2.0, 4.0, 6.0) for kappa in (0.0, 0.7)
+                 for lam in (0.001, 0.01, 0.1, 0.9)]
+
+
+class TestInverseIteration:
+    @pytest.mark.parametrize("j, kappa, lam", ORACLE_POINTS)
+    def test_matches_dense_oracle(self, j, kappa, lam):
+        assert_matches_dense(ModelParams(lambda_=lam, kappa=kappa, j=j, n_cutoff=40))
+
+    def test_tight_clusters_stay_orthogonal(self):
+        """Levels 1e-11 apart: without reorthogonalization their vectors overlap by 1e-4."""
+        params = ModelParams(lambda_=1e-5, kappa=0.7, j=6.0, n_cutoff=40)
+        ds, _, h = windowed_pair(params)
+        assert np.min(np.diff(ds.energies)) < 1e-10
+        assert_eigenpairs(h, ds)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                        reason="long double is no wider than double here")
+    def test_near_ties_match_extended_precision(self):
+        """States 1e-6 apart: inverse iteration agrees with an 80-bit reference to 1e-10
+        in tail weight, where the dense oracle is off by about 1e-8."""
+        params = ModelParams(lambda_=0.001, kappa=0.7, j=6.0, n_cutoff=40)
+        ds, _, h = windowed_pair(params)
+        nearest, spacing = nearest_gaps(diagonalize(h).energies, ds.window_indices)
+        tied = np.nonzero(nearest < 0.01 * spacing)[0]
+        assert tied.size and np.min(nearest) < 1e-5 * spacing
+        tail = h.basis.n >= params.n_cutoff - 20
+        shifted = dense_from_band(h.band).astype(np.longdouble)
+        for col in tied:
+            x = long_double_inverse_iteration(shifted, ds.energies[col], h.bandwidth)
+            assert abs(tail_weights(ds)[col] - np.sum(x[tail] ** 2)) <= 1e-10
+
+    def test_matches_dense_oracle_at_full_scale(self):
+        ds, _ = assert_matches_dense(ModelParams(lambda_=1.0, kappa=0.5, j=16.0, n_cutoff=320))
+        assert ds.coefficients.shape == (5297, ds.energies.size)
+
+    @pytest.mark.parametrize("j", [2.0, 6.0])
+    @pytest.mark.parametrize("kappa", [0.0, 0.7])
+    def test_uncoupled_rows_equal_the_dense_route(self, j, kappa):
+        params = ModelParams(lambda_=0.0, kappa=kappa, j=j, n_cutoff=40)
+        ds, dense, h = windowed_pair(params)
+        assert h.bandwidth == 0
+        assert np.array_equal(np.abs(ds.coefficients).sum(axis=0), np.ones(ds.energies.size))
+        row = compute_point(params)
+        assert row.n_levels == dense.energies.size
+        assert row.converged_fraction == check_convergence(dense)[1]
+        assert row.d_kl == kl_divergence(collect_coefficients(dense))
+
+    def test_repeat_gives_identical_bytes(self):
+        h = build_hamiltonian(ModelParams(lambda_=0.1, kappa=0.7, j=6.0, n_cutoff=40),
+                              Parity.EVEN)
+        energies = diagonalize(h).energies
+        indices = np.arange(energies.size)
+        first = windowed_eigenvectors(h.band, energies, indices)
+        assert first.tobytes() == windowed_eigenvectors(h.band, energies, indices).tobytes()
+
+    def test_exact_eigenvalue_shift(self):
+        """H - E I is exactly singular here; its zero pivot is perturbed, not divided by."""
+        band = np.array([[1.0, 1.0], [1.0, 0.0]])  # [[1, 1], [1, 1]]: eigenvalues 0 and 2
+        v = windowed_eigenvectors(band, np.array([0.0, 2.0]), np.array([0, 1]))
+        np.testing.assert_allclose(v, np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2.0),
+                                   atol=1e-15)
+
+    def test_vector_route_holds_no_dense_matrix(self):
+        p = ModelParams(lambda_=1.0, kappa=0.5, j=8.0, n_cutoff=160)
+        tracemalloc.start()
+        try:
+            h = build_hamiltonian(p, Parity.EVEN)
+            eig = diagonalize(h)
+            ds = filter_energy_window(eig, p)
+            vectors = windowed_eigenvectors(h.band, eig.energies, ds.window_indices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.dim == vectors.shape[0] == 1369
+        assert peak < 8 * h.dim**2
 
 
 class TestEnergyWindow:
@@ -315,6 +467,19 @@ class TestSpectrumCache:
         path.write_bytes(blob)
         with pytest.raises(CacheFormatError, match=path.name):
             cache.load(p, Parity.EVEN, KIND_ENERGIES)
+
+    def test_failed_store_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        cache = SpectrumCache(tmp_path)
+        with pytest.raises(OSError, match="disk full"):
+            cache.store(ModelParams(j=1.0, n_cutoff=8), Parity.EVEN, KIND_ENERGIES,
+                        np.array([1.0]))
+        row = compute_point(ModelParams(lambda_=0.9, j=2.0, n_cutoff=20), cache=cache)
+        assert row.error == "OSError: disk full" and np.isnan(row.d_kl)
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_array_roundtrip(self, tmp_path):
         cache = SpectrumCache(tmp_path)
