@@ -9,11 +9,13 @@ File layout (all integers little-endian):
     uint64    element count
     ...       float64 array, little-endian
 
-Each entry is written whole to a temporary file and moved into place by an
-atomic rename, so concurrent sweep workers can share one directory and a reader
-never sees a partial write.  A malformed entry (truncated, say) raises
-CacheFormatError on load; the sweep treats it as a miss, solves the point again
-and the rewrite replaces it.
+A point has one eigenvalue entry (``KIND_ENERGIES``), which every command reads
+and writes; a point with vectors adds its mid-window coefficients and tail
+weights.  Each entry is written whole to a temporary file and moved into place
+by an atomic rename, so concurrent sweep workers can share one directory and a
+reader never sees a partial write.  A malformed entry (truncated, or with a
+mangled key, say) raises CacheFormatError on load; the sweep treats it as a
+miss, solves the point again and the rewrite replaces it.
 """
 
 from __future__ import annotations
@@ -28,14 +30,13 @@ import numpy as np
 
 from .errors import CacheFormatError
 from .model import ModelParams, Parity
-from .spectrum import VALUES_DRIVER, VECTORS_DRIVER
+from .spectrum import SOLVER
 
 MAGIC = b"DKCHSPC1"
 VERSION = 1
 
 #: Payload kinds stored per parameter point.
-KIND_ENERGIES = "energies"          # full-spectrum eigenvalues of the vector solve, ascending
-KIND_EIGVALS = "eigvals"            # full-spectrum eigenvalues of the values-only solve, ascending
+KIND_ENERGIES = "energies"          # full-spectrum eigenvalues, ascending
 KIND_MID_COEFFS = "mid_coeffs"      # pooled mid-window eigenvector components
 KIND_TAIL_WEIGHTS = "tail_weights"  # per-windowed-state Fock-tail weights
 
@@ -45,13 +46,12 @@ def cache_key(params: ModelParams, sector: Parity | None, kind: str,
     """Canonical key document for one payload.
 
     Only the fields the payload actually depends on are included, so e.g.
-    energies are reused across window changes.  The LAPACK driver that made the
-    payload is one of them: the two solves differ in the last bits, so their
-    eigenvalues never share an entry.
+    energies are reused across window changes.  The solver that made the
+    payload is one of them.
     """
     doc = {
         "kind": kind,
-        "solver": VALUES_DRIVER if kind == KIND_EIGVALS else VECTORS_DRIVER,
+        "solver": SOLVER,
         "omega": float(params.omega),
         "omega0": float(params.omega0),
         "lambda": float(params.lambda_),
@@ -109,9 +109,9 @@ class SpectrumCache:
         off += 8
         if version != VERSION:
             raise CacheFormatError(f"{path}: unsupported version {version}")
-        stored_key = blob[off : off + keylen].decode("utf-8")
+        stored_key = blob[off : off + keylen]
         off += keylen
-        if stored_key != key_json:
+        if stored_key != key_json.encode("utf-8"):
             raise CacheFormatError(f"{path}: key mismatch")
         # A file cut inside the count field is shorter than off + 8: it fails the check too.
         count = int.from_bytes(blob[off : off + 8], "little")

@@ -26,10 +26,10 @@ from .model import HamiltonianMatrix, ModelParams
 DEFAULT_TAIL_WIDTH = 20
 #: A state is converged when its probability weight in the tail stays below this.
 DEFAULT_TAIL_TOL = 1e-6
-#: LAPACK drivers of the two routes: banded eigenvalues only, and banded eigenvalues
-#: plus inverse iteration for the windowed vectors.  The cache key names the driver, so
-#: entries of an earlier solver (the dense ``evd``, say) miss.
-VALUES_DRIVER, VECTORS_DRIVER = "sbevd", "sbevd+gbtrs"
+#: The pipeline's LAPACK drivers: banded eigenvalues, plus inverse iteration for the
+#: windowed vectors.  The cache key names them, so entries of an earlier solver (the
+#: dense ``evd``, say) miss.
+SOLVER = "sbevd+gbtrs"
 #: Inverse iteration accepts a solve once it certifies a residual below this times max|E|.
 RESIDUAL_TOL = 1e-12
 #: Adjacent eigenvalues closer than this times max|E| are reorthogonalized as a cluster.

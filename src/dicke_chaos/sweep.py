@@ -18,6 +18,7 @@ import contextlib
 import json
 import math
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
@@ -25,13 +26,7 @@ from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .cache import (
-    KIND_EIGVALS,
-    KIND_ENERGIES,
-    KIND_MID_COEFFS,
-    KIND_TAIL_WEIGHTS,
-    SpectrumCache,
-)
+from .cache import KIND_ENERGIES, KIND_MID_COEFFS, KIND_TAIL_WEIGHTS, SpectrumCache
 from .eigenstate_stats import (
     DEFAULT_BINS,
     MIN_BINS,
@@ -137,8 +132,8 @@ CSV_HEADER = ",".join(name.removesuffix("_") for name, _ in CSV_COLUMNS)  # lamb
 class PointData:
     """One parameter point as the sweep and the CLI read it.
 
-    ``tail`` and ``sample`` are None without vectors; ``sample`` also when the
-    mid window holds no state.
+    The energies are the same with or without vectors.  ``tail`` and ``sample``
+    are None without vectors; ``sample`` also when the mid window holds no state.
     """
 
     energies: np.ndarray                 # full spectrum, ascending
@@ -166,7 +161,7 @@ def load_point_data(params: ModelParams, cache: SpectrumCache,
     cached and well-formed: a corrupt payload is a miss, which the solve rewrites."""
     sector = Parity.EVEN
     try:
-        energies = cache.load(params, sector, KIND_ENERGIES if want_vectors else KIND_EIGVALS)
+        energies = cache.load(params, sector, KIND_ENERGIES)
         if energies is None:
             return None
         if not want_vectors:
@@ -187,10 +182,10 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
     Consults the cache first (:func:`load_point_data`); on a miss builds the
     even-parity block, solves its band for the eigenvalues and, with vectors,
     finds the windowed eigenvectors by :func:`windowed_eigenvectors`, then stores
-    the results.  No D x D matrix is made on either route.  Cached payloads are
-    exact float64 copies and each route keeps its own eigenvalue entry, so a warm
-    run reproduces a cold run of the same route bit for bit; empty windows store
-    empty arrays.
+    the results.  No D x D matrix is made.  Both values of ``want_vectors`` solve
+    and store the same eigenvalue entry; vectors only add the mid-window
+    coefficients and tail weights.  Cached payloads are exact float64 copies, so a
+    warm run reproduces a cold run bit for bit; empty windows store empty arrays.
     """
     if cache is not None:
         data = load_point_data(params, cache, want_vectors)
@@ -198,7 +193,6 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
             return data
 
     sector = Parity.EVEN
-    energies_kind = KIND_ENERGIES if want_vectors else KIND_EIGVALS
     h = build_hamiltonian(params, sector)
     eig = diagonalize(h)
     mid = tail = None
@@ -210,7 +204,7 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
             tail = tail_weights(ds, DEFAULT_TAIL_WIDTH)
             mid = collect_coefficients(ds).values
     if cache is not None:
-        cache.store(params, sector, energies_kind, eig.energies)
+        cache.store(params, sector, KIND_ENERGIES, eig.energies)
         if want_vectors:
             cache.store(params, sector, KIND_MID_COEFFS, mid)
             cache.store(params, sector, KIND_TAIL_WEIGHTS, tail, tail_width=DEFAULT_TAIL_WIDTH)
@@ -311,6 +305,7 @@ def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
     :func:`compute_point`); only the misses go to a pool of
     ``min(workers, misses)`` spawned processes, so an all-hit grid starts none.
     Both end in :func:`point_row`, and each solved row returns to its miss's place.
+    A worker that dies raises ``BrokenProcessPool`` instead of hanging the sweep.
     """
     points = [replace(config.base, kappa=kappa, lambda_=lam)
               for kappa in config.kappa_grid for lam in config.lambda_grid]
@@ -328,9 +323,9 @@ def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
     if not misses:
         return rows
     point = partial(compute_point, fit_degree=config.fit_degree, bins=config.bins, cache=cache)
-    workers = min(config.workers, len(misses))
-    with multiprocessing.get_context("spawn").Pool(processes=workers) as pool:
-        solved = iter(pool.map(point, misses, chunksize=1))
+    with ProcessPoolExecutor(max_workers=min(config.workers, len(misses)),
+                             mp_context=multiprocessing.get_context("spawn")) as pool:
+        solved = iter(list(pool.map(point, misses)))
     return [row if row is not None else next(solved) for row in rows]
 
 

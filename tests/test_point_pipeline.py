@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import dicke_chaos.sweep as sweep
@@ -21,6 +22,7 @@ from dicke_chaos import (
     windowed_eigenvectors,
 )
 from dicke_chaos.cli import main
+from dicke_chaos.sweep import compute_point_data
 
 from histogram_io import read_histogram
 
@@ -81,8 +83,17 @@ def test_cold_and_warm_cache_write_identical_files(tmp_path):
     assert entries[0] == entries[1] and len(entries[0]) == 12
 
 
-def test_values_only_and_vector_solves_keep_separate_cache_entries(tmp_path):
-    """The two solves differ in the last bits; neither may read the other's eigenvalues."""
+@pytest.mark.parametrize("lam, kappa", POINTS)
+def test_values_only_and_vector_solves_give_equal_energies(lam, kappa):
+    """The one cached eigenvalue entry rests on this: if it fails, the routes need two."""
+    params = ModelParams(j=6.0, n_cutoff=80, lambda_=lam, kappa=kappa)
+    assert np.array_equal(compute_point_data(params, want_vectors=False).energies,
+                          compute_point_data(params).energies)
+
+
+def test_values_only_and_vector_commands_share_one_cache_entry(tmp_path):
+    """spacing and sweep write one eigenvalue entry: a sweep after spacing writes what a
+    sweep on a fresh cache writes, and ratio on that cache what an uncached ratio writes."""
     def run(command, name, cache_dir):
         doc = {"j": 6.0, "n_cutoff": 80, "kappa": 0.0, "lambda": 0.9,
                "kappa_grid": [0.0], "lambda_grid": [0.9], "cache_dir": str(cache_dir)}
@@ -100,19 +111,49 @@ def test_values_only_and_vector_solves_keep_separate_cache_entries(tmp_path):
     assert run("ratio", "uncached", "") == run("ratio", "cached", tmp_path / "shared")
 
 
+def test_point_commands_read_the_sweeps_cache_entry(tmp_path, monkeypatch):
+    """On a cache a sweep filled, spectrum, spacing and ratio solve nothing, store
+    nothing, and write what an uncached run writes."""
+    cache_dir = tmp_path / "cache"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"j": 6.0, "n_cutoff": 80, "kappa": 0.7, "lambda": 0.9,
+                                  "kappa_grid": [0.7], "lambda_grid": [0.9]}))
+    commands = ("spectrum", "spacing", "ratio")
+
+    def run(name, *extra):
+        out = tmp_path / name
+        for command in commands:
+            assert main([command, "--config", str(config), "--out", str(out), *extra]) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    uncached = run("uncached")
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "sweep"),
+                 "--set", f"cache_dir={cache_dir}"]) == 0
+    entries = sorted(p.name for p in cache_dir.iterdir())
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a cached point built a Hamiltonian")
+
+    monkeypatch.setattr(sweep, "build_hamiltonian", no_build)
+    assert run("cached", "--set", f"cache_dir={cache_dir}") == uncached
+    assert sorted(p.name for p in cache_dir.iterdir()) == entries
+
+
 @pytest.mark.parametrize("lam, kappa", POINTS)
 def test_point_commands_report_the_sweep_row(tmp_path, lam, kappa):
-    """spacing and ratio share compute_point's indicator code, so their meta match its row."""
+    """spacing, ratio and eigstats share compute_point's data and indicator code, so
+    their meta equal its row exactly."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps({"j": 6.0, "n_cutoff": 80, "lambda": lam, "kappa": kappa}))
-    for command in ("spacing", "ratio"):
+    for command in ("spacing", "ratio", "eigstats"):
         assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
     row = compute_point(ModelParams(j=6.0, n_cutoff=80, lambda_=lam, kappa=kappa))
     name = f"{format(kappa, 'g')}_{format(lam, 'g')}.json"
     _, spacing = read_histogram(tmp_path / f"hist_spacing_{name}")
     _, ratio = read_histogram(tmp_path / f"hist_ratio_{name}")
-    reported = [spacing["eta"], spacing["beta"], ratio["mean_r"], ratio["n_degenerate_dropped"]]
-    reported = [math.nan if v is None else v for v in reported]  # NaN is written as null
-    expected = [row.eta, row.beta, row.mean_r, row.n_degenerate_dropped]
-    # the commands solve for eigenvalues only, the row with vectors: last digits may differ
-    assert reported == pytest.approx(expected, rel=1e-12, nan_ok=True)
+    _, coeff = read_histogram(tmp_path / f"hist_coeff_{name}")
+    reported = [spacing["eta"], spacing["beta"], ratio["mean_r"], ratio["n_degenerate_dropped"],
+                coeff["d_kl"]]
+    expected = [row.eta, row.beta, row.mean_r, row.n_degenerate_dropped, row.d_kl]
+    # NaN is written as null
+    assert [None if isinstance(v, float) and math.isnan(v) else v for v in expected] == reported

@@ -23,7 +23,7 @@ from dicke_chaos import (
     kl_divergence,
     windowed_eigenvectors,
 )
-from dicke_chaos.cache import KIND_EIGVALS, KIND_ENERGIES, KIND_MID_COEFFS, cache_key
+from dicke_chaos.cache import KIND_ENERGIES, KIND_MID_COEFFS, cache_key
 from dicke_chaos.errors import CacheFormatError, EmptyWindow, MissingVectors
 from dicke_chaos.spectrum import _fix_phases, tail_weights
 
@@ -171,7 +171,6 @@ class TestBandedSolve:
 
     def test_cache_key_names_the_solver(self):
         p = ModelParams(lambda_=0.7, j=2.0, n_cutoff=11)
-        assert cache_key(p, Parity.EVEN, KIND_EIGVALS)["solver"] == "sbevd"
         assert cache_key(p, Parity.EVEN, KIND_ENERGIES)["solver"] == "sbevd+gbtrs"
 
 
@@ -448,6 +447,17 @@ class TestSpectrumCache:
         path = next(tmp_path.glob("*.spec"))
         path.write_bytes(b"NOTMAGIC" + path.read_bytes()[8:])
         with pytest.raises(CacheFormatError):
+            cache.load(p, Parity.EVEN, KIND_ENERGIES)
+
+    def test_non_utf8_key_raises(self, tmp_path):
+        cache = SpectrumCache(tmp_path)
+        p = ModelParams(j=1.0, n_cutoff=8)
+        cache.store(p, Parity.EVEN, KIND_ENERGIES, np.array([1.0]))
+        path = next(tmp_path.glob("*.spec"))
+        blob = bytearray(path.read_bytes())
+        blob[16] = 0xFF  # first byte of the key document
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CacheFormatError, match=f"{path.name}: key mismatch"):
             cache.load(p, Parity.EVEN, KIND_ENERGIES)
 
     @pytest.mark.parametrize("cut", ["end of key", "inside count", "inside payload", "extra byte"])

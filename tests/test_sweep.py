@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -198,15 +199,13 @@ class TestCacheHitsInParent:
                                                           workers, cached, pool_size):
         cache = fill_cache(tmp_path / "cache", GRID[:cached])
         sizes = []
-        spawn = multiprocessing.get_context("spawn")
 
-        class SpyContext:
-            @staticmethod
-            def Pool(processes):
-                sizes.append(processes)
-                return spawn.Pool(processes)
+        class SpyExecutor(ProcessPoolExecutor):
+            def __init__(self, max_workers, mp_context):
+                sizes.append(max_workers)
+                super().__init__(max_workers, mp_context=mp_context)
 
-        monkeypatch.setattr(multiprocessing, "get_context", lambda method: SpyContext)
+        monkeypatch.setattr(dicke_chaos.sweep, "ProcessPoolExecutor", SpyExecutor)
         rows = run_sweep(small_config(tmp_path, workers=workers, cache_dir=cache))
         assert sizes == [pool_size]
         assert [(r.kappa, r.lambda_) for r in rows] == GRID
@@ -227,7 +226,9 @@ class TestCacheHitsInParent:
             csvs.append((out / "sweep.csv").read_bytes())
         assert csvs[0] == csvs[1]
 
-    def test_truncated_entry_is_a_miss_and_its_solve_rewrites_it(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("corruption", ["truncated", "mangled key"])
+    def test_corrupt_entry_is_a_miss_and_its_solve_rewrites_it(self, tmp_path, monkeypatch,
+                                                               corruption):
         cache_dir = fill_cache(tmp_path / "cache", GRID)
         config = sweep_config_file(tmp_path, cache_dir, workers=2)
         args = ["sweep", "--config", str(config), "--out"]
@@ -238,7 +239,11 @@ class TestCacheHitsInParent:
         bad = replace(BASE, kappa=0.7, lambda_=0.2)
         payload = cache.load(bad, Parity.EVEN, KIND_ENERGIES)
         path = cache._path(cache._key_json(bad, Parity.EVEN, KIND_ENERGIES))
-        path.write_bytes(path.read_bytes()[:-8])
+        blob = path.read_bytes()
+        path.write_bytes({
+            "truncated": blob[:-8],
+            "mangled key": blob[:16] + b"\xff" + blob[17:],  # not UTF-8
+        }[corruption])
         out = tmp_path / "corrupt"
         assert main([*args, str(out)]) == 0
         assert (out / "sweep.csv").read_bytes() == clean
@@ -251,6 +256,21 @@ class TestCacheHitsInParent:
         monkeypatch.setattr(multiprocessing, "get_context", no_processes)
         assert main([*args, str(tmp_path / "rerun")]) == 0
         assert (tmp_path / "rerun" / "sweep.csv").read_bytes() == clean
+
+    def test_killed_worker_fails_the_sweep_instead_of_hanging(self, tmp_path):
+        """A worker that dies mid-point breaks the pool: the sweep exits 2 at once."""
+        config = sweep_config_file(tmp_path, "", workers=2)
+        paths = [str(Path(dicke_chaos.__file__).resolve().parent.parent),
+                 str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH", "")]
+        run = "import sys, dying_worker; sys.exit(dying_worker.run(sys.argv[1:]))"
+        out = tmp_path / "out"
+        proc = subprocess.run([sys.executable, "-c", run, "sweep", "--config", str(config),
+                               "--out", str(out)],
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2, proc.stderr
+        assert "BrokenProcessPool" in proc.stderr
+        assert not (out / "sweep.csv").exists()
 
 
 class TestCsv:
