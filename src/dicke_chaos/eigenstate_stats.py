@@ -65,15 +65,11 @@ class CoefficientSample:
         return cls(values, dim, values.size // dim, float(values.min()), float(values.max()))
 
 
-def collect_coefficients(
-    ds: SpectralDataset,
-    window: tuple[float, float] | None = None,
-) -> CoefficientSample:
-    """Pool all components of the eigenstates inside the mid-spectrum window.
+def collect_coefficients(ds: SpectralDataset) -> CoefficientSample:
+    """Pool all components of the eigenstates inside the dataset's mid_window (E/N).
 
-    ``window`` is in E/N units and defaults to the dataset's mid_window.  Every
-    selected state contributes its full component column (phases already fixed
-    upstream), so each state adds exactly dim values.
+    Every selected state contributes its full component column (phases already
+    fixed upstream), so each state adds exactly dim values.
 
     Raises
     ------
@@ -84,7 +80,7 @@ def collect_coefficients(
     """
     if ds.coefficients is None:
         raise MissingVectors("dataset carries no eigenvector coefficients")
-    window = window if window is not None else ds.params.mid_window
+    window = ds.params.mid_window
     sel = _window_mask(ds.energies, ds.params.n_atoms, window)
     if not sel.any():
         raise EmptyWindow(f"no retained state with E/N in [{window[0]}, {window[1]}]")

@@ -217,17 +217,3 @@ def tail_weights(ds: SpectralDataset, tail_width: int = DEFAULT_TAIL_WIDTH) -> n
     mask = ds.basis.n >= ds.params.n_cutoff - tail_width
     return np.sum(ds.coefficients[mask] ** 2, axis=0)
 
-
-def check_convergence(
-    ds: SpectralDataset,
-    tail_width: int = DEFAULT_TAIL_WIDTH,
-    tol: float = DEFAULT_TAIL_TOL,
-) -> tuple[np.ndarray, float]:
-    """Flag each retained state as converged against the Fock truncation.
-
-    A state passes when its weight on the top ``tail_width`` Fock layers is
-    below ``tol``.  Returns the flags together with the converged fraction.
-    """
-    weights = tail_weights(ds, tail_width)
-    flags = weights < tol
-    return flags, float(flags.mean())

@@ -1,10 +1,10 @@
 """(kappa, lambda) grid sweeps with caching, parallel workers and file output.
 
 Every point, for sweeps and the CLI alike, comes from :func:`compute_point_data`
-(the library's banded solve, filter_energy_window, windowed_eigenvectors,
-tail_weights and collect_coefficients behind the spectrum cache) and
-:func:`level_statistics`.  A sweep reads its cache hits in its own process and
-solves only the misses, in spawned worker processes; either way a row is
+(each payload read from the spectrum cache, or made by the library's banded solve,
+filter_energy_window, windowed_eigenvectors, tail_weights and collect_coefficients
+and stored) and :func:`level_statistics`.  A sweep reads the points cached whole in
+its own process and solves the rest in spawned worker processes; either way a row is
 :func:`point_row` of a :class:`PointData`, and the rows come back in grid order
 (kappa ascending, lambda ascending), so neither the worker count nor the cache
 warmth changes a single output byte.  A failed point turns into a row
@@ -51,6 +51,7 @@ from .spectral_stats import (
 from .spectrum import (
     DEFAULT_TAIL_TOL,
     DEFAULT_TAIL_WIDTH,
+    EigenDecomposition,
     _window_mask,
     diagonalize,
     filter_energy_window,
@@ -155,60 +156,64 @@ def _point_data(params: ModelParams, energies: np.ndarray, tail: np.ndarray | No
     return PointData(energies, window, tail, sample)
 
 
-def load_point_data(params: ModelParams, cache: SpectrumCache,
-                    want_vectors: bool = True) -> PointData | None:
-    """The cached record for one point, or None unless every payload it needs is
-    cached and well-formed: a corrupt payload is a miss, which the solve rewrites."""
-    sector = Parity.EVEN
+def _load(cache: SpectrumCache | None, params: ModelParams, kind: str) -> np.ndarray | None:
+    """One cached payload, or None without a cache or entry, or for a corrupt entry,
+    which is then remade and rewritten."""
+    if cache is None:
+        return None
     try:
-        energies = cache.load(params, sector, KIND_ENERGIES)
-        if energies is None:
-            return None
-        if not want_vectors:
-            return _point_data(params, energies, None, None)
-        mid = cache.load(params, sector, KIND_MID_COEFFS)
-        tail = cache.load(params, sector, KIND_TAIL_WEIGHTS, tail_width=DEFAULT_TAIL_WIDTH)
+        return cache.load(params, Parity.EVEN, kind, tail_width=DEFAULT_TAIL_WIDTH)
     except CacheFormatError:
         return None
-    if mid is None or tail is None:
+
+
+def load_point_data(params: ModelParams, cache: SpectrumCache) -> PointData | None:
+    """The cached record of one point with vectors, or None unless its three payloads
+    are all cached and well-formed."""
+    payloads = [_load(cache, params, kind)
+                for kind in (KIND_ENERGIES, KIND_TAIL_WEIGHTS, KIND_MID_COEFFS)]
+    if any(payload is None for payload in payloads):
         return None
-    return _point_data(params, energies, tail, mid)
+    return _point_data(params, *payloads)
 
 
 def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
                        want_vectors: bool = True) -> PointData:
     """Obtain the spectrum (and, if wanted, eigenvector summaries) for one point.
 
-    Consults the cache first (:func:`load_point_data`); on a miss builds the
-    even-parity block, solves its band for the eigenvalues and, with vectors,
-    finds the windowed eigenvectors by :func:`windowed_eigenvectors`, then stores
-    the results.  No D x D matrix is made.  Both values of ``want_vectors`` solve
-    and store the same eigenvalue entry; vectors only add the mid-window
-    coefficients and tail weights.  Cached payloads are exact float64 copies, so a
-    warm run reproduces a cold run bit for bit; empty windows store empty arrays.
+    Each payload is read from the cache by :func:`_load`, or made and stored;
+    an entry already well-formed is never rewritten.  Only a missing payload
+    builds the even-parity block: its band solve gives the eigenvalues, stored
+    at once, and :func:`windowed_eigenvectors` on them, cached or fresh, the
+    mid-window coefficients and tail weights.  No D x D matrix is made.  Cached
+    payloads are exact float64 copies, so a warm run reproduces a cold run bit
+    for bit; empty windows store empty arrays.
     """
-    if cache is not None:
-        data = load_point_data(params, cache, want_vectors)
-        if data is not None:
-            return data
-
     sector = Parity.EVEN
-    h = build_hamiltonian(params, sector)
-    eig = diagonalize(h)
+    energies = _load(cache, params, KIND_ENERGIES)
     mid = tail = None
     if want_vectors:
-        mid = tail = np.zeros(0)  # what an empty analysis or mid window stores
+        mid, tail = _load(cache, params, KIND_MID_COEFFS), _load(cache, params, KIND_TAIL_WEIGHTS)
+    make_vectors = want_vectors and (mid is None or tail is None)
+    if energies is None or make_vectors:
+        h = build_hamiltonian(params, sector)
+    if energies is None:
+        energies = diagonalize(h).energies
+        if cache is not None:
+            cache.store(params, sector, KIND_ENERGIES, energies)
+    if make_vectors:
+        made_mid = made_tail = np.zeros(0)  # what an empty analysis or mid window stores
         with contextlib.suppress(EmptyWindow):
-            ds = filter_energy_window(eig, params)
-            ds.coefficients = windowed_eigenvectors(h.band, eig.energies, ds.window_indices)
-            tail = tail_weights(ds, DEFAULT_TAIL_WIDTH)
-            mid = collect_coefficients(ds).values
-    if cache is not None:
-        cache.store(params, sector, KIND_ENERGIES, eig.energies)
-        if want_vectors:
-            cache.store(params, sector, KIND_MID_COEFFS, mid)
-            cache.store(params, sector, KIND_TAIL_WEIGHTS, tail, tail_width=DEFAULT_TAIL_WIDTH)
-    return _point_data(params, eig.energies, tail, mid)
+            ds = filter_energy_window(EigenDecomposition(energies, None, h.basis), params)
+            ds.coefficients = windowed_eigenvectors(h.band, energies, ds.window_indices)
+            made_tail = tail_weights(ds, DEFAULT_TAIL_WIDTH)
+            made_mid = collect_coefficients(ds).values
+        if cache is not None and mid is None:
+            cache.store(params, sector, KIND_MID_COEFFS, made_mid)
+        if cache is not None and tail is None:
+            cache.store(params, sector, KIND_TAIL_WEIGHTS, made_tail, tail_width=DEFAULT_TAIL_WIDTH)
+        mid, tail = made_mid, made_tail
+    return _point_data(params, energies, tail, mid)
 
 
 @dataclass
@@ -300,9 +305,9 @@ def point_row(params: ModelParams, data: PointData, fit_degree: int = DEFAULT_FI
 def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
     """Run the full grid and return rows ordered (kappa asc, lambda asc).
 
-    This process builds the rows of the cache hits (a corrupt entry is a miss, and
-    its solve rewrites it; any other failure makes an error row, as in
-    :func:`compute_point`); only the misses go to a pool of
+    This process builds the rows of the points cached whole (a missing or corrupt
+    payload makes a miss, whose worker remakes just that payload; any other failure
+    makes an error row, as in :func:`compute_point`); the misses go to a pool of
     ``min(workers, misses)`` spawned processes, so an all-hit grid starts none.
     Both end in :func:`point_row`, and each solved row returns to its miss's place.
     A worker that dies raises ``BrokenProcessPool`` instead of hanging the sweep.

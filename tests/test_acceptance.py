@@ -18,11 +18,9 @@ from dicke_chaos import (
     brody_pdf,
     build_hamiltonian,
     chaos_boundary,
-    collect_coefficients,
     diagonalize,
     enumerate_basis,
     eta_indicator,
-    filter_energy_window,
     fit_brody,
     goe_ratio_pdf,
     kl_divergence,
@@ -35,8 +33,9 @@ from dicke_chaos import (
     wigner_dyson_pdf,
     write_csv,
 )
-from dicke_chaos import check_convergence
 from dicke_chaos.eigenstate_stats import CoefficientSample
+from dicke_chaos.spectrum import DEFAULT_TAIL_TOL
+from dicke_chaos.sweep import compute_point_data
 from dataclasses import replace
 from scipy import integrate
 
@@ -70,10 +69,9 @@ def indicator_scan():
     for kappa in SCAN_KAPPAS:
         for lam in SCAN_LAMBDAS:
             params = ModelParams(lambda_=lam, kappa=kappa, **FULL_SCALE)
-            eig = diagonalize(build_hamiltonian(params, Parity.EVEN))
-            ds = filter_energy_window(eig, params)
-            spacings = unfold(ds.energies, fit_degree=10).spacings
-            ratios, _ = spacing_ratios(ds.energies)
+            windowed = compute_point_data(params, want_vectors=False).windowed
+            spacings = unfold(windowed, fit_degree=10).spacings
+            ratios, _ = spacing_ratios(windowed)
             rows[(kappa, lam)] = {
                 "eta": eta_indicator(spacings),
                 "beta": fit_brody(spacings)[0],
@@ -90,23 +88,20 @@ def eigenvector_runs():
     out = {}
     for lam in (0.1, 1.0):
         params = ModelParams(lambda_=lam, kappa=0.0, **FULL_SCALE)
-        eig = diagonalize(build_hamiltonian(params, Parity.EVEN), want_vectors=True)
-        ds = filter_energy_window(eig, params)
-        flags, fraction = check_convergence(ds)
-        sample = collect_coefficients(ds)
-        params_hi = replace(params, n_cutoff=params.n_cutoff + 40)
-        eig_hi = diagonalize(build_hamiltonian(params_hi, Parity.EVEN))
-        ds_hi = filter_energy_window(eig_hi, params_hi)
+        data = compute_point_data(params)
+        hi = compute_point_data(replace(params, n_cutoff=params.n_cutoff + 40),
+                                want_vectors=False)
+        flags = data.tail < DEFAULT_TAIL_TOL
         out[lam] = {
-            "d_kl": kl_divergence(sample, bins=201),
-            "pooled_variance": float(np.var(sample.values)),
-            "dim": sample.dim,
-            "windowed": ds.energies,
-            "windowed_hi": ds_hi.energies,
+            "d_kl": kl_divergence(data.sample, bins=201),
+            "pooled_variance": float(np.var(data.sample.values)),
+            "dim": data.sample.dim,
+            "windowed": data.windowed,
+            "windowed_hi": hi.windowed,
             "converged_flags": flags,
-            "converged_fraction": fraction,
-            "e0": float(eig.energies[0]),
-            "e0_hi": float(eig_hi.energies[0]),
+            "converged_fraction": float(flags.mean()),
+            "e0": float(data.energies[0]),
+            "e0_hi": float(hi.energies[0]),
         }
     return out
 

@@ -1,5 +1,7 @@
 """Coefficient pooling, the GOE Gaussian reference and the KL divergence."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -99,8 +101,9 @@ class TestCollectCoefficients:
         assert -1.0 <= sample.c_min <= sample.c_max <= 1.0
 
     def test_explicit_window_overrides_default(self):
+        """The mid window comes from the dataset's params."""
         p, ds = self._dataset(0.8)
-        narrow = collect_coefficients(ds, window=(0.9, 1.1))
+        narrow = collect_coefficients(replace(ds, params=replace(p, mid_window=(0.9, 1.1))))
         default = collect_coefficients(ds)
         assert narrow.n_states < default.n_states
 
@@ -115,7 +118,7 @@ class TestCollectCoefficients:
         # retained states all have E/N <= 6, so a window above that is empty
         p, ds = self._dataset(0.8)
         with pytest.raises(EmptyWindow):
-            collect_coefficients(ds, window=(6.5, 7.0))
+            collect_coefficients(replace(ds, params=replace(p, mid_window=(6.5, 7.0))))
 
 
 class TestKlDivergence:

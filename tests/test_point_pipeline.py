@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from dicke_chaos import (
     Parity,
     SpectrumCache,
     build_hamiltonian,
-    check_convergence,
     collect_coefficients,
     compute_point,
     diagonalize,
@@ -21,7 +21,9 @@ from dicke_chaos import (
     kl_divergence,
     windowed_eigenvectors,
 )
+from dicke_chaos.cache import KIND_ENERGIES
 from dicke_chaos.cli import main
+from dicke_chaos.spectrum import DEFAULT_TAIL_TOL, tail_weights
 from dicke_chaos.sweep import compute_point_data
 
 from histogram_io import read_histogram
@@ -38,10 +40,9 @@ def test_compute_point_matches_library_route(lam, kappa):
     eig = diagonalize(h)
     ds = filter_energy_window(eig, params)
     ds.coefficients = windowed_eigenvectors(h.band, eig.energies, ds.window_indices)
-    _, fraction = check_convergence(ds)
     assert row.n_levels == ds.energies.size
     assert row.d_kl == kl_divergence(collect_coefficients(ds))
-    assert row.converged_fraction == fraction
+    assert row.converged_fraction == np.mean(tail_weights(ds) < DEFAULT_TAIL_TOL)
 
 
 def test_vector_route_makes_no_dense_matrix(monkeypatch):
@@ -81,6 +82,29 @@ def test_cold_and_warm_cache_write_identical_files(tmp_path):
         entries.append(sorted(p.name for p in cache_dir.iterdir()))
     assert outputs[0] == outputs[1]
     assert entries[0] == entries[1] and len(entries[0]) == 12
+
+
+def test_vector_run_reuses_the_cached_eigenvalues(tmp_path, monkeypatch):
+    """A vector run on a point whose eigenvalues alone are cached (eigstats or sweep
+    after spacing) solves no eigenvalues and leaves their entry as it is."""
+    params = ModelParams(j=6.0, n_cutoff=80, lambda_=0.9, kappa=0.0)
+    solves = []
+
+    def spy(h, *args, **kwargs):
+        solves.append(h.dim)
+        return diagonalize(h, *args, **kwargs)
+
+    monkeypatch.setattr(sweep, "diagonalize", spy)
+    cache = SpectrumCache(tmp_path)
+    compute_point_data(params, cache, want_vectors=False)
+    energies_entry = cache._path(cache._key_json(params, Parity.EVEN, KIND_ENERGIES))
+    inode = os.stat(energies_entry).st_ino
+    data = compute_point_data(params, cache)
+    assert solves == [527]
+    assert os.stat(energies_entry).st_ino == inode  # os.replace would give a new inode
+    uncached = compute_point_data(params)
+    assert np.array_equal(data.tail, uncached.tail)
+    assert np.array_equal(data.sample.values, uncached.sample.values)
 
 
 @pytest.mark.parametrize("lam, kappa", POINTS)

@@ -14,7 +14,6 @@ from dicke_chaos import (
     SpectralDataset,
     SpectrumCache,
     build_hamiltonian,
-    check_convergence,
     collect_coefficients,
     compute_point,
     diagonalize,
@@ -25,7 +24,7 @@ from dicke_chaos import (
 )
 from dicke_chaos.cache import KIND_ENERGIES, KIND_MID_COEFFS, cache_key
 from dicke_chaos.errors import CacheFormatError, EmptyWindow, MissingVectors
-from dicke_chaos.spectrum import _fix_phases, tail_weights
+from dicke_chaos.spectrum import DEFAULT_TAIL_TOL, _fix_phases, tail_weights
 
 
 def solve(params, sector=Parity.EVEN, want_vectors=False):
@@ -207,7 +206,8 @@ def assert_matches_dense(params):
     left to test_near_ties_match_extended_precision."""
     ds, dense, h = windowed_pair(params)
     assert np.array_equal(ds.window_indices, dense.window_indices)  # n_levels
-    assert np.array_equal(check_convergence(ds)[0], check_convergence(dense)[0])
+    assert np.array_equal(tail_weights(ds) < DEFAULT_TAIL_TOL,
+                          tail_weights(dense) < DEFAULT_TAIL_TOL)
     d_kl = kl_divergence(collect_coefficients(ds))
     assert d_kl == pytest.approx(kl_divergence(collect_coefficients(dense)), rel=1e-9)
     v, k = ds.coefficients, ds.energies.size
@@ -288,7 +288,7 @@ class TestInverseIteration:
         assert np.array_equal(np.abs(ds.coefficients).sum(axis=0), np.ones(ds.energies.size))
         row = compute_point(params)
         assert row.n_levels == dense.energies.size
-        assert row.converged_fraction == check_convergence(dense)[1]
+        assert row.converged_fraction == np.mean(tail_weights(dense) < DEFAULT_TAIL_TOL)
         assert row.d_kl == kl_divergence(collect_coefficients(dense))
 
     def test_repeat_gives_identical_bytes(self):
@@ -359,8 +359,7 @@ class TestConvergence:
         # lambda = 0 eigenstates occupy a single low-n basis vector each
         p = ModelParams(lambda_=0.0, kappa=0.0, j=2.0, n_cutoff=60)
         ds = filter_energy_window(solve(p, want_vectors=True), p)
-        flags, fraction = check_convergence(ds, tail_width=20, tol=1e-6)
-        assert fraction == 1.0
+        assert np.all(tail_weights(ds, tail_width=20) < 1e-6)
 
     def test_pure_tail_state_flagged(self):
         p = ModelParams(j=0.5, n_cutoff=5, energy_window=(0.0, 100.0))
@@ -373,20 +372,18 @@ class TestConvergence:
             params=p, energies=np.array([1.0]), coefficients=coeff,
             window_indices=np.array([0]), basis=basis,
         )
-        flags, fraction = check_convergence(ds, tail_width=2, tol=1e-6)
-        assert not flags[0] and fraction == 0.0
+        assert (tail_weights(ds, tail_width=2) < 1e-6).tolist() == [False]
 
     def test_missing_vectors(self):
         p = ModelParams(j=1.0, n_cutoff=10)
         ds = filter_energy_window(solve(p, want_vectors=False), p)
         with pytest.raises(MissingVectors):
-            check_convergence(ds)
+            tail_weights(ds)
 
     def test_converged_pipeline_small(self):
         p = ModelParams(lambda_=1.0, kappa=0.0, j=4.0, n_cutoff=120)
         ds = filter_energy_window(solve(p, want_vectors=True), p)
-        _, fraction = check_convergence(ds)
-        assert fraction == 1.0
+        assert np.all(tail_weights(ds) < DEFAULT_TAIL_TOL)
 
     def test_cutoff_stability(self):
         # windowed eigenvalues must be insensitive to the truncation

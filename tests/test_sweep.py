@@ -28,7 +28,7 @@ from dicke_chaos import (
     write_csv,
     write_histogram,
 )
-from dicke_chaos.cache import KIND_ENERGIES
+from dicke_chaos.cache import KIND_ENERGIES, KIND_MID_COEFFS
 from dicke_chaos.cli import main
 from dicke_chaos.errors import UsageError
 from dicke_chaos.sweep import (
@@ -226,9 +226,14 @@ class TestCacheHitsInParent:
             csvs.append((out / "sweep.csv").read_bytes())
         assert csvs[0] == csvs[1]
 
-    @pytest.mark.parametrize("corruption", ["truncated", "mangled key"])
+    @pytest.mark.parametrize("kind, corruption", [(KIND_ENERGIES, "truncated"),
+                                                  (KIND_ENERGIES, "mangled key"),
+                                                  (KIND_MID_COEFFS, "truncated")],
+                             ids=["truncated", "mangled key", "mid_coeffs"])
     def test_corrupt_entry_is_a_miss_and_its_solve_rewrites_it(self, tmp_path, monkeypatch,
-                                                               corruption):
+                                                               kind, corruption):
+        """A corrupt payload is remade and rewritten; a corrupt vector payload is remade
+        from the cached eigenvalues, whose entry stays as it is."""
         cache_dir = fill_cache(tmp_path / "cache", GRID)
         config = sweep_config_file(tmp_path, cache_dir, workers=2)
         args = ["sweep", "--config", str(config), "--out"]
@@ -237,8 +242,10 @@ class TestCacheHitsInParent:
 
         cache = SpectrumCache(cache_dir)
         bad = replace(BASE, kappa=0.7, lambda_=0.2)
-        payload = cache.load(bad, Parity.EVEN, KIND_ENERGIES)
-        path = cache._path(cache._key_json(bad, Parity.EVEN, KIND_ENERGIES))
+        payload = cache.load(bad, Parity.EVEN, kind)
+        path = cache._path(cache._key_json(bad, Parity.EVEN, kind))
+        energies_entry = cache._path(cache._key_json(bad, Parity.EVEN, KIND_ENERGIES))
+        energies_inode = energies_entry.stat().st_ino
         blob = path.read_bytes()
         path.write_bytes({
             "truncated": blob[:-8],
@@ -248,7 +255,9 @@ class TestCacheHitsInParent:
         assert main([*args, str(out)]) == 0
         assert (out / "sweep.csv").read_bytes() == clean
         assert not (out / "sweep_errors.json").exists()
-        assert np.array_equal(cache.load(bad, Parity.EVEN, KIND_ENERGIES), payload)
+        assert np.array_equal(cache.load(bad, Parity.EVEN, kind), payload)
+        if kind != KIND_ENERGIES:
+            assert energies_entry.stat().st_ino == energies_inode
 
         def no_processes(*args, **kwargs):
             raise AssertionError("a sweep on a healed cache started a process")
@@ -258,8 +267,11 @@ class TestCacheHitsInParent:
         assert (tmp_path / "rerun" / "sweep.csv").read_bytes() == clean
 
     def test_killed_worker_fails_the_sweep_instead_of_hanging(self, tmp_path):
-        """A worker that dies mid-point breaks the pool: the sweep exits 2 at once."""
-        config = sweep_config_file(tmp_path, "", workers=2)
+        """A worker that dies mid-point breaks the pool: the sweep exits 2 at once.
+        Rerun on the same cache, the sweep resumes: it writes the bytes of a clean run
+        and rewrites no entry the killed run left, so no finished point is solved again."""
+        cache_dir = tmp_path / "cache"
+        config = sweep_config_file(tmp_path, cache_dir, workers=2)
         paths = [str(Path(dicke_chaos.__file__).resolve().parent.parent),
                  str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH", "")]
         run = "import sys, dying_worker; sys.exit(dying_worker.run(sys.argv[1:]))"
@@ -271,6 +283,15 @@ class TestCacheHitsInParent:
         assert proc.returncode == 2, proc.stderr
         assert "BrokenProcessPool" in proc.stderr
         assert not (out / "sweep.csv").exists()
+
+        written = {p.name: p.stat().st_ino for p in cache_dir.glob("*.spec")}
+        assert written  # the dying point is taken only by a worker that finished one
+        args = ["sweep", "--config", str(config), "--out"]
+        assert main([*args, str(tmp_path / "resumed")]) == 0
+        assert main([*args, str(tmp_path / "clean"), "--set", "cache_dir="]) == 0
+        assert ((tmp_path / "resumed" / "sweep.csv").read_bytes()
+                == (tmp_path / "clean" / "sweep.csv").read_bytes())
+        assert {name: (cache_dir / name).stat().st_ino for name in written} == written
 
 
 class TestCsv:
