@@ -78,6 +78,11 @@ class SpectrumCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
 
+    def path(self, params: ModelParams, sector: Parity | None, kind: str,
+             tail_width: int | None = None) -> Path:
+        """The file the payload of this key lives in, whether or not it exists."""
+        return self._path(self._key_json(params, sector, kind, tail_width))
+
     def _path(self, key_json: str) -> Path:
         digest = hashlib.sha256(key_json.encode("utf-8")).hexdigest()
         return self.root / f"{digest}.spec"

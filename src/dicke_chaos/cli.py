@@ -5,7 +5,8 @@ All subcommands read one JSON config (--config) and accept repeatable
 which takes precedence over the file.  The config schema (each key's type,
 default and range) lives in ``sweep``; ``read_config`` reads the merged document
 once into the SweepConfig every subcommand uses.  Exit codes: 0 success,
-1 usage error (any unknown key or malformed or out-of-range value), 2 runtime error.
+1 usage error (any unknown key or malformed or out-of-range value), 2 runtime error,
+130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -97,7 +98,10 @@ def _prepare(doc: dict, args) -> tuple[SweepConfig, SpectrumCache | None]:
         config.output_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise UsageError(f"cannot create output directory {config.output_dir}: {exc}") from exc
-    cache = SpectrumCache(config.cache_dir) if config.cache_dir is not None else None
+    try:
+        cache = SpectrumCache(config.cache_dir) if config.cache_dir is not None else None
+    except OSError as exc:
+        raise UsageError(f"cannot create cache directory {config.cache_dir}: {exc}") from exc
     return config, cache
 
 
@@ -215,6 +219,9 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except Exception as exc:  # noqa: BLE001 - runtime failures exit 2
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

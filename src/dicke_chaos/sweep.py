@@ -2,10 +2,10 @@
 
 Every point, for sweeps and the CLI alike, comes from :func:`compute_point_data`
 (each payload read from the spectrum cache, or made by the library's banded solve,
-filter_energy_window, windowed_eigenvectors, tail_weights and collect_coefficients
-and stored) and :func:`level_statistics`.  A sweep reads the points cached whole in
-its own process and solves the rest in spawned worker processes; either way a row is
-:func:`point_row` of a :class:`PointData`, and the rows come back in grid order
+windowed_eigenvectors, tail_weights and collect_coefficients and stored) and
+:func:`level_statistics`.  Every sweep row is :func:`compute_point`: a sweep runs it
+in its own process for the points whose cache entries are all on disk and in
+spawned worker processes for the rest, and the rows come back in grid order
 (kappa ascending, lambda ascending), so neither the worker count nor the cache
 warmth changes a single output byte.  A failed point turns into a row
 of NaN sentinels plus an entry in the errors sidecar instead of aborting the sweep.
@@ -14,7 +14,6 @@ The config schema and its one reader, :func:`read_config`, live here too.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import multiprocessing
@@ -51,10 +50,9 @@ from .spectral_stats import (
 from .spectrum import (
     DEFAULT_TAIL_TOL,
     DEFAULT_TAIL_WIDTH,
-    EigenDecomposition,
+    SpectralDataset,
     _window_mask,
     diagonalize,
-    filter_energy_window,
     tail_weights,
     windowed_eigenvectors,
 )
@@ -94,10 +92,15 @@ class SweepConfig:
     cache_dir: Path | None = None
 
     def __post_init__(self) -> None:
-        for name in ("kappa_grid", "lambda_grid"):
+        for name, param in (("kappa_grid", "kappa"), ("lambda_grid", "lambda_")):
             grid = getattr(self, name)
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be strictly ascending")
+            if grid:
+                try:  # the smallest value stands for the whole ascending grid
+                    replace(self.base, **{param: grid[0]})
+                except ValueError as exc:
+                    raise ValueError(f"{name}: {exc}") from exc
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.fit_degree < 0:
@@ -148,14 +151,6 @@ class PointData:
         return self.energies[self.window_indices]
 
 
-def _point_data(params: ModelParams, energies: np.ndarray, tail: np.ndarray | None,
-                mid: np.ndarray | None) -> PointData:
-    """The record for one point; a cache hit and a fresh solve both end here."""
-    window = np.nonzero(_window_mask(energies, params.n_atoms, params.energy_window))[0]
-    sample = CoefficientSample.pool(mid, energies.size) if mid is not None and mid.size else None
-    return PointData(energies, window, tail, sample)
-
-
 def _load(cache: SpectrumCache | None, params: ModelParams, kind: str) -> np.ndarray | None:
     """One cached payload, or None without a cache or entry, or for a corrupt entry,
     which is then remade and rewritten."""
@@ -167,16 +162,6 @@ def _load(cache: SpectrumCache | None, params: ModelParams, kind: str) -> np.nda
         return None
 
 
-def load_point_data(params: ModelParams, cache: SpectrumCache) -> PointData | None:
-    """The cached record of one point with vectors, or None unless its three payloads
-    are all cached and well-formed."""
-    payloads = [_load(cache, params, kind)
-                for kind in (KIND_ENERGIES, KIND_TAIL_WEIGHTS, KIND_MID_COEFFS)]
-    if any(payload is None for payload in payloads):
-        return None
-    return _point_data(params, *payloads)
-
-
 def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
                        want_vectors: bool = True) -> PointData:
     """Obtain the spectrum (and, if wanted, eigenvector summaries) for one point.
@@ -185,9 +170,10 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
     an entry already well-formed is never rewritten.  Only a missing payload
     builds the even-parity block: its band solve gives the eigenvalues, stored
     at once, and :func:`windowed_eigenvectors` on them, cached or fresh, the
-    mid-window coefficients and tail weights.  No D x D matrix is made.  Cached
-    payloads are exact float64 copies, so a warm run reproduces a cold run bit
-    for bit; empty windows store empty arrays.
+    analysis-window vectors that the tail weights and mid-window coefficients are
+    made from.  No D x D matrix is made.  Cached payloads are exact float64 copies,
+    so a warm run reproduces a cold run bit for bit; empty windows store empty
+    arrays.
     """
     sector = Parity.EVEN
     energies = _load(cache, params, KIND_ENERGIES)
@@ -201,19 +187,22 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
         energies = diagonalize(h).energies
         if cache is not None:
             cache.store(params, sector, KIND_ENERGIES, energies)
+    window = np.nonzero(_window_mask(energies, params.n_atoms, params.energy_window))[0]
     if make_vectors:
-        made_mid = made_tail = np.zeros(0)  # what an empty analysis or mid window stores
-        with contextlib.suppress(EmptyWindow):
-            ds = filter_energy_window(EigenDecomposition(energies, None, h.basis), params)
-            ds.coefficients = windowed_eigenvectors(h.band, energies, ds.window_indices)
-            made_tail = tail_weights(ds, DEFAULT_TAIL_WIDTH)
+        ds = SpectralDataset(params, energies[window],
+                             windowed_eigenvectors(h.band, energies, window), window, h.basis)
+        made_tail = tail_weights(ds, DEFAULT_TAIL_WIDTH)
+        try:
             made_mid = collect_coefficients(ds).values
+        except EmptyWindow:
+            made_mid = np.zeros(0)  # what an empty mid window stores
         if cache is not None and mid is None:
             cache.store(params, sector, KIND_MID_COEFFS, made_mid)
         if cache is not None and tail is None:
             cache.store(params, sector, KIND_TAIL_WEIGHTS, made_tail, tail_width=DEFAULT_TAIL_WIDTH)
         mid, tail = made_mid, made_tail
-    return _point_data(params, energies, tail, mid)
+    sample = CoefficientSample.pool(mid, energies.size) if mid is not None and mid.size else None
+    return PointData(energies, window, tail, sample)
 
 
 @dataclass
@@ -257,28 +246,20 @@ def level_statistics(windowed: np.ndarray, fit_degree: int) -> LevelStatistics:
 
 def compute_point(params: ModelParams, fit_degree: int = DEFAULT_FIT_DEGREE,
                   bins: int = DEFAULT_BINS, cache: SpectrumCache | None = None) -> SweepResultRow:
-    """All four chaos indicators for a single (kappa, lambda) point, by :func:`point_row`;
-    a point whose data cannot be obtained is a NaN row whose ``error`` names why."""
-    try:
-        data = compute_point_data(params, cache=cache, want_vectors=True)
-    except Exception as exc:  # failed point -> NaN row, sweep continues
-        return _failed_row(params, exc)
-    return point_row(params, data, fit_degree, bins)
+    """All four chaos indicators for a single (kappa, lambda) point: the one maker of
+    sweep rows, in a sweep's own process and in its workers alike.
 
-
-def _failed_row(params: ModelParams, exc: Exception) -> SweepResultRow:
-    return SweepResultRow(kappa=params.kappa, lambda_=params.lambda_,
-                          error=f"{type(exc).__name__}: {exc}")
-
-
-def point_row(params: ModelParams, data: PointData, fit_degree: int = DEFAULT_FIT_DEGREE,
-              bins: int = DEFAULT_BINS) -> SweepResultRow:
-    """The sweep row of one point's data (with vectors), fresh or cached alike.
-
+    A point whose data cannot be obtained is a NaN row whose ``error`` names why.
     Indicator-level failures (too few levels, empty windows, ...) leave that
     field NaN and are collected into ``row.error``; they never abort.
     """
-    row = SweepResultRow(kappa=params.kappa, lambda_=params.lambda_, dim=data.energies.size)
+    row = SweepResultRow(kappa=params.kappa, lambda_=params.lambda_)
+    try:
+        data = compute_point_data(params, cache=cache, want_vectors=True)
+    except Exception as exc:  # failed point -> NaN row, sweep continues
+        row.error = f"{type(exc).__name__}: {exc}"
+        return row
+    row.dim = data.energies.size
     notes: list[str] = []
     windowed = data.windowed
     row.n_levels = int(windowed.size)
@@ -305,29 +286,27 @@ def point_row(params: ModelParams, data: PointData, fit_degree: int = DEFAULT_FI
 def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
     """Run the full grid and return rows ordered (kappa asc, lambda asc).
 
-    This process builds the rows of the points cached whole (a missing or corrupt
-    payload makes a miss, whose worker remakes just that payload; any other failure
-    makes an error row, as in :func:`compute_point`); the misses go to a pool of
-    ``min(workers, misses)`` spawned processes, so an all-hit grid starts none.
-    Both end in :func:`point_row`, and each solved row returns to its miss's place.
-    A worker that dies raises ``BrokenProcessPool`` instead of hanging the sweep.
+    Every row is :func:`compute_point`.  A point whose three payload files are all
+    on disk is computed in this process (a corrupt entry among them is remade and
+    rewritten here); the rest go to a pool of ``min(workers, misses)`` spawned
+    processes, so an all-hit grid starts none, and each solved row returns to its
+    miss's place.  A worker that dies raises ``BrokenProcessPool`` instead of
+    hanging the sweep.
     """
     points = [replace(config.base, kappa=kappa, lambda_=lam)
               for kappa in config.kappa_grid for lam in config.lambda_grid]
     cache = SpectrumCache(config.cache_dir) if config.cache_dir is not None else None
+    point = partial(compute_point, fit_degree=config.fit_degree, bins=config.bins, cache=cache)
 
-    def cached_row(params: ModelParams) -> SweepResultRow | None:
-        try:
-            data = load_point_data(params, cache)
-        except Exception as exc:  # failed point -> NaN row, sweep continues
-            return _failed_row(params, exc)
-        return None if data is None else point_row(params, data, config.fit_degree, config.bins)
+    def on_disk(params: ModelParams) -> bool:
+        return cache is not None and all(
+            cache.path(params, Parity.EVEN, kind, DEFAULT_TAIL_WIDTH).exists()
+            for kind in (KIND_ENERGIES, KIND_MID_COEFFS, KIND_TAIL_WEIGHTS))
 
-    rows = [cached_row(params) if cache is not None else None for params in points]
+    rows = [point(params) if on_disk(params) else None for params in points]
     misses = [params for params, row in zip(points, rows) if row is None]
     if not misses:
         return rows
-    point = partial(compute_point, fit_degree=config.fit_degree, bins=config.bins, cache=cache)
     with ProcessPoolExecutor(max_workers=min(config.workers, len(misses)),
                              mp_context=multiprocessing.get_context("spawn")) as pool:
         solved = iter(list(pool.map(point, misses)))

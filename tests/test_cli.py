@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import dicke_chaos
+import dicke_chaos.cli as cli
 from dicke_chaos.cli import apply_overrides, main
 from dicke_chaos.errors import UsageError
 from dicke_chaos.sweep import SweepResultRow, read_csv, write_csv
@@ -179,6 +180,8 @@ class TestExitCodes:
         ("sweep", "n_cutoff=30.7"),
         ("sweep", "fit_degree=2.5"),
         ("sweep", "workers=1.9"),
+        ("sweep", "kappa_grid=[-0.5,0]"),
+        ("sweep", "lambda_grid=[-1,0.5]"),
     ])
     def test_malformed_setting_is_usage_error(self, config_path, tmp_path, capsys,
                                               command, override):
@@ -187,6 +190,27 @@ class TestExitCodes:
         assert override.partition("=")[0] in capsys.readouterr().err
         out = tmp_path / "out"
         assert not out.exists() or not any(out.iterdir())
+
+    def test_unusable_cache_dir_is_usage_error(self, config_path, tmp_path, capsys):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        code = main(["sweep", "--config", str(config_path), "--set", f"cache_dir={blocker}"])
+        assert code == 1
+        assert f"cannot create cache directory {blocker}" in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_interrupt_exits_130_without_traceback(self, config_path, capsys, monkeypatch):
+        def interrupted(config, cache):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._COMMANDS, "spectrum", (interrupted, "interrupted"))
+        try:
+            code = main(["spectrum", "--config", str(config_path)])
+        except KeyboardInterrupt:  # escaping, it would end the whole test session
+            pytest.fail("the interrupt escaped main")
+        assert code == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
 
 
 class TestPointCommands:

@@ -97,7 +97,7 @@ def test_vector_run_reuses_the_cached_eigenvalues(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "diagonalize", spy)
     cache = SpectrumCache(tmp_path)
     compute_point_data(params, cache, want_vectors=False)
-    energies_entry = cache._path(cache._key_json(params, Parity.EVEN, KIND_ENERGIES))
+    energies_entry = cache.path(params, Parity.EVEN, KIND_ENERGIES)
     inode = os.stat(energies_entry).st_ino
     data = compute_point_data(params, cache)
     assert solves == [527]

@@ -1,11 +1,14 @@
 """Grid sweeps: determinism, caching, error isolation and file round-trips."""
 
+import contextlib
 import json
 import math
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -170,7 +173,8 @@ class TestRunSweep:
 
 
 class TestCacheHitsInParent:
-    """A sweep reads its cache hits itself and spawns workers only for the misses."""
+    """A sweep computes the points whose entries are all on disk itself and spawns
+    workers only for the rest."""
 
     def test_bytes_independent_of_workers_and_cache_warmth(self, tmp_path):
         csvs = {}
@@ -232,8 +236,8 @@ class TestCacheHitsInParent:
                              ids=["truncated", "mangled key", "mid_coeffs"])
     def test_corrupt_entry_is_a_miss_and_its_solve_rewrites_it(self, tmp_path, monkeypatch,
                                                                kind, corruption):
-        """A corrupt payload is remade and rewritten; a corrupt vector payload is remade
-        from the cached eigenvalues, whose entry stays as it is."""
+        """A corrupt payload is remade and rewritten by the sweep's own process; a corrupt
+        vector payload is remade from the cached eigenvalues, whose entry stays as it is."""
         cache_dir = fill_cache(tmp_path / "cache", GRID)
         config = sweep_config_file(tmp_path, cache_dir, workers=2)
         args = ["sweep", "--config", str(config), "--out"]
@@ -243,14 +247,20 @@ class TestCacheHitsInParent:
         cache = SpectrumCache(cache_dir)
         bad = replace(BASE, kappa=0.7, lambda_=0.2)
         payload = cache.load(bad, Parity.EVEN, kind)
-        path = cache._path(cache._key_json(bad, Parity.EVEN, kind))
-        energies_entry = cache._path(cache._key_json(bad, Parity.EVEN, KIND_ENERGIES))
+        path = cache.path(bad, Parity.EVEN, kind)
+        energies_entry = cache.path(bad, Parity.EVEN, KIND_ENERGIES)
         energies_inode = energies_entry.stat().st_ino
         blob = path.read_bytes()
         path.write_bytes({
             "truncated": blob[:-8],
             "mangled key": blob[:16] + b"\xff" + blob[17:],  # not UTF-8
         }[corruption])
+
+        def no_processes(*args, **kwargs):
+            raise AssertionError("a sweep with every entry on disk started a process")
+
+        # the corrupt entry is on disk, so the sweep's own process heals it
+        monkeypatch.setattr(multiprocessing, "get_context", no_processes)
         out = tmp_path / "corrupt"
         assert main([*args, str(out)]) == 0
         assert (out / "sweep.csv").read_bytes() == clean
@@ -258,11 +268,6 @@ class TestCacheHitsInParent:
         assert np.array_equal(cache.load(bad, Parity.EVEN, kind), payload)
         if kind != KIND_ENERGIES:
             assert energies_entry.stat().st_ino == energies_inode
-
-        def no_processes(*args, **kwargs):
-            raise AssertionError("a sweep on a healed cache started a process")
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_processes)
         assert main([*args, str(tmp_path / "rerun")]) == 0
         assert (tmp_path / "rerun" / "sweep.csv").read_bytes() == clean
 
@@ -292,6 +297,39 @@ class TestCacheHitsInParent:
         assert ((tmp_path / "resumed" / "sweep.csv").read_bytes()
                 == (tmp_path / "clean" / "sweep.csv").read_bytes())
         assert {name: (cache_dir / name).stat().st_ino for name in written} == written
+
+    def test_interrupted_sweep_exits_130_and_leaves_no_worker(self, tmp_path):
+        """SIGINT while workers solve ends the sweep with exit 130, and its workers go too."""
+        cache_dir = tmp_path / "cache"
+        config = sweep_config_file(tmp_path, cache_dir, workers=2, kappa_grid=[0.0, 0.3, 0.7],
+                                   lambda_grid=[0.2, 0.5, 0.9, 1.2])
+        src = str(Path(dicke_chaos.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        out = tmp_path / "out"
+        proc = subprocess.Popen([sys.executable, "-m", "dicke_chaos.cli", "sweep", "--config",
+                                 str(config), "--out", str(out)],
+                                env=env, stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            deadline = time.monotonic() + 120
+            while not any(cache_dir.glob("*.spec")):
+                assert proc.poll() is None and time.monotonic() < deadline, proc.returncode
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGINT)
+            _, err = proc.communicate(timeout=60)
+            assert proc.returncode == 130, err
+            assert err == "error: interrupted\n"
+            assert not (out / "sweep.csv").exists()
+            deadline = time.monotonic() + 5
+            while True:
+                try:
+                    os.killpg(proc.pid, 0)
+                except ProcessLookupError:
+                    break
+                assert time.monotonic() < deadline, "a worker outlived the interrupted sweep"
+                time.sleep(0.05)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
 
 
 class TestCsv:
