@@ -1,23 +1,19 @@
 """Command-line front end: single-point diagnostics and (kappa, lambda) sweeps.
 
 All subcommands read one JSON config (--config) and accept repeatable
---set KEY=VALUE overrides; --out and --workers take precedence over --set,
-which takes precedence over the file.  The config schema (each key's type,
-default and range) lives in ``sweep``; ``read_config`` reads the merged document
-once into the SweepConfig every subcommand uses.  Exit codes: 0 success,
-1 usage error (any unknown key or malformed or out-of-range value), 2 runtime error,
-130 interrupted (Ctrl-C).
+--set KEY=VALUE overrides.  ``main`` turns --set, then --out and --workers, into
+(key, value) pairs in that order, so the flags win over --set, which wins over the
+file; ``sweep.read_config`` reads the file and the pairs once into the SweepConfig
+every subcommand uses.  Exit codes: 0 success, 1 usage error (any unknown key or
+malformed or out-of-range value), 2 runtime error, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import math
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .cache import SpectrumCache
@@ -25,16 +21,13 @@ from .eigenstate_stats import build_histogram, kl_divergence
 from .errors import EmptyWindow, NonRectangularGrid, UsageError
 from .spectral_stats import split_degenerate
 from .sweep import (
-    CACHE_ENV_VAR,
     SweepConfig,
     _write_text,
     boundary_from_rows,
-    check_config_keys,
     check_grids,
     compute_point_data,
     histogram_name,
     level_statistics,
-    load_config,
     read_config,
     read_csv,
     run_sweep,
@@ -66,43 +59,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def apply_overrides(doc: dict, pairs: list[str]) -> dict:
-    """Apply --set KEY=VALUE pairs on top of a config document."""
-    doc = copy.deepcopy(doc)
-    for pair in pairs:
-        key, sep, raw = pair.partition("=")
-        if not sep or key == "thresholds":
-            raise UsageError(f"--set expects KEY=VALUE or thresholds.KEY=VALUE, got {pair!r}")
-        try:
-            value = json.loads(raw)
-        except json.JSONDecodeError:
-            value = raw
-        if key.startswith("thresholds."):
-            doc.setdefault("thresholds", {})[key.partition(".")[2]] = value
-        else:
-            doc[key] = value
-    check_config_keys(doc)
-    return doc
-
-
-def _prepare(doc: dict, args) -> tuple[SweepConfig, SpectrumCache | None]:
-    """Read the config once, flags over --set over file; make the output directory and cache."""
-    if args.out:
-        doc["output_dir"] = args.out
-    if args.workers is not None:
-        doc["workers"] = args.workers
-    config = read_config(doc)
-    if config.cache_dir is None and os.environ.get(CACHE_ENV_VAR):
-        config = replace(config, cache_dir=Path(os.environ[CACHE_ENV_VAR]))
+def _override(pair: str) -> tuple[str, object]:
+    """One --set KEY=VALUE as a (key, value) pair; VALUE is parsed as JSON where it can be."""
+    key, sep, raw = pair.partition("=")
+    if not sep or key == "thresholds":
+        raise UsageError(f"--set expects KEY=VALUE or thresholds.KEY=VALUE, got {pair!r}")
     try:
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise UsageError(f"cannot create output directory {config.output_dir}: {exc}") from exc
-    try:
-        cache = SpectrumCache(config.cache_dir) if config.cache_dir is not None else None
-    except OSError as exc:
-        raise UsageError(f"cannot create cache directory {config.cache_dir}: {exc}") from exc
-    return config, cache
+        return key, json.loads(raw)
+    except json.JSONDecodeError:
+        return key, raw
 
 
 def _write_point_histogram(config: SweepConfig, kind: str, hist, meta: dict) -> list[Path]:
@@ -212,8 +177,20 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        doc = apply_overrides(load_config(args.config), args.set)
-        config, cache = _prepare(doc, args)
+        overrides = [_override(pair) for pair in args.set]
+        if args.out:
+            overrides.append(("output_dir", args.out))
+        if args.workers is not None:
+            overrides.append(("workers", args.workers))
+        config = read_config(args.config, overrides)
+        try:
+            config.output_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create output directory {config.output_dir}: {exc}") from exc
+        try:
+            cache = SpectrumCache(config.cache_dir) if config.cache_dir is not None else None
+        except OSError as exc:
+            raise UsageError(f"cannot create cache directory {config.cache_dir}: {exc}") from exc
         handler, _ = _COMMANDS[args.command]
         written = handler(config, cache)
     except UsageError as exc:

@@ -1,4 +1,4 @@
-"""Diagonalization, energy-window filtering and Fock-cutoff convergence.
+"""Diagonalization, energy-window filtering and Fock-tail weights.
 
 Eigenvalues come from the band storage of H (LAPACK ``sbevd``, O(D^2 b) work and
 O(D b) memory for half-bandwidth b, against O(D^3) and 8 D^2 bytes dense).  The
@@ -9,7 +9,10 @@ divide-and-conquer ``evd`` (``diagonalize(h, want_vectors=True)``) stays as the
 oracle the banded routes are tested against.
 
 Every E/N window in the package is cut by ``_window_mask``: the analysis window
-here and the mid window in ``eigenstate_stats.collect_coefficients``.
+here and in ``sweep.compute_point_data``, and the mid window in
+``eigenstate_stats.collect_coefficients``.  ``tail_weights`` gives each windowed
+state's weight on the top Fock layers, the truncation diagnostic behind a sweep
+row's ``converged_fraction``.
 """
 
 from __future__ import annotations

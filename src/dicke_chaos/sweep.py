@@ -9,7 +9,10 @@ spawned worker processes for the rest, and the rows come back in grid order
 (kappa ascending, lambda ascending), so neither the worker count nor the cache
 warmth changes a single output byte.  A failed point turns into a row
 of NaN sentinels plus an entry in the errors sidecar instead of aborting the sweep.
-The config schema and its one reader, :func:`read_config`, live here too.
+The config schema and its one reader, :func:`read_config`, live here too: it turns
+a config file, the overrides the CLI's ``--set``, ``--out`` and ``--workers`` make,
+and the ``$DICKE_CHAOS_CACHE_DIR`` fallback into the :class:`SweepConfig` every
+command runs on.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -78,7 +82,7 @@ class Thresholds:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything a run needs, as :func:`read_config` reads it from a config document;
+    """Everything a run needs, as :func:`read_config` reads it from a config file;
     point commands use ``base`` at its kappa and lambda_, a sweep scans the grids."""
 
     base: ModelParams
@@ -457,42 +461,43 @@ CONFIG_SCHEMA = {
 MODEL_KEYS = ("omega", "omega0", "j", "n_cutoff", "energy_window", "mid_window", "lambda", "kappa")
 
 
-def load_config(path: str | Path) -> dict:
-    """Load and key-check a JSON config document; :func:`read_config` reads its values."""
+def read_config(path: str | Path, overrides: Sequence[tuple[str, object]] = ()) -> SweepConfig:
+    """The one config reader: the UTF-8 JSON object at ``path`` with each ``(key, value)``
+    override applied in order (a ``thresholds.KEY`` one goes into ``thresholds``),
+    its keys checked and each value typed once by CONFIG_SCHEMA; an unset or empty
+    ``cache_dir`` falls back to ``$DICKE_CHAOS_CACHE_DIR``.  An unreadable file, an
+    unknown key, or a malformed or out-of-range value raises a UsageError naming it.
+    Defaults and range rules are those of ModelParams, SweepConfig and Thresholds."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"config {path} must hold a JSON object")
-    check_config_keys(doc)
-    return doc
-
-
-def check_config_keys(doc: Mapping) -> None:
-    """Reject a key the schema does not know, at the top level or under thresholds."""
+    for key, value in overrides:
+        if key.startswith("thresholds.") and isinstance(doc.get("thresholds", {}), dict):
+            doc.setdefault("thresholds", {})[key.partition(".")[2]] = value
+        else:  # any other key, and one under a malformed thresholds, is judged below
+            doc[key] = value
     thresholds = doc.get("thresholds", {})
-    if not isinstance(thresholds, Mapping):
+    if not isinstance(thresholds, dict):
         raise UsageError("thresholds must be an object")
     unknown = [k for k in doc if k not in CONFIG_SCHEMA]
     unknown += [f"thresholds.{k}" for k in thresholds if k not in THRESHOLD_KEYS]
     if unknown:
         raise UsageError(f"unknown config key: {unknown[0]}")
-
-
-def read_config(doc: Mapping) -> SweepConfig:
-    """The one reader of config values: each is typed once, and any malformed or
-    out-of-range value raises a UsageError naming its key.  Defaults and range
-    rules are those of ModelParams, SweepConfig and Thresholds."""
-    check_config_keys(doc)
     values = {}
     for key, raw in doc.items():
         try:
             values[key] = CONFIG_SCHEMA[key](raw)
         except (TypeError, ValueError) as exc:
             raise UsageError(f"config key {key}: {exc}") from exc
+    if values.get("cache_dir") is None and os.environ.get(CACHE_ENV_VAR):
+        values["cache_dir"] = Path(os.environ[CACHE_ENV_VAR])
     model = {"lambda_" if k == "lambda" else k: values.pop(k) for k in MODEL_KEYS if k in values}
     try:
         return SweepConfig(base=ModelParams(**model), **values)

@@ -11,8 +11,7 @@ import pytest
 
 import dicke_chaos
 import dicke_chaos.cli as cli
-from dicke_chaos.cli import apply_overrides, main
-from dicke_chaos.errors import UsageError
+from dicke_chaos.cli import main
 from dicke_chaos.sweep import SweepResultRow, read_csv, write_csv
 
 from histogram_io import read_histogram
@@ -56,31 +55,87 @@ def test_import_leaves_out_scipy_stats_and_optimize():
     assert out.stdout.strip() == "[]"
 
 
+def configured(monkeypatch, *args):
+    """The SweepConfig and cache that ``main`` hands a subcommand for these arguments."""
+    seen = []
+
+    def capture(config, cache):
+        seen.append((config, cache))
+        return []
+
+    monkeypatch.setitem(cli._COMMANDS, "spectrum", (capture, "capture"))
+    assert main(["spectrum", *args]) == 0
+    return seen[0]
+
+
 class TestOverrides:
-    def test_set_wins_over_file(self, config_path):
-        doc = json.loads(config_path.read_text())
-        out = apply_overrides(doc, ["j=4", "lambda=0.9"])
-        assert out["j"] == 4 and out["lambda"] == 0.9
+    def test_set_wins_over_file(self, config_path, monkeypatch):
+        config, _ = configured(monkeypatch, "--config", str(config_path),
+                               "--set", "j=4", "--set", "lambda=0.9")
+        assert config.base.j == 4 and config.base.lambda_ == 0.9
 
-    def test_dotted_threshold_key(self, config_path):
-        doc = json.loads(config_path.read_text())
-        out = apply_overrides(doc, ["thresholds.mean_r_min=0.5"])
-        assert out["thresholds"]["mean_r_min"] == 0.5
+    def test_dotted_threshold_key(self, config_path, monkeypatch):
+        config, _ = configured(monkeypatch, "--config", str(config_path),
+                               "--set", "thresholds.mean_r_min=0.5")
+        assert config.thresholds.mean_r_min == 0.5
 
-    def test_json_lists_parse(self, config_path):
-        doc = json.loads(config_path.read_text())
-        out = apply_overrides(doc, ["kappa_grid=[0.0,1.0]"])
-        assert out["kappa_grid"] == [0.0, 1.0]
+    def test_json_lists_parse(self, config_path, monkeypatch):
+        config, _ = configured(monkeypatch, "--config", str(config_path),
+                               "--set", "kappa_grid=[0.0,1.0]")
+        assert config.kappa_grid == (0.0, 1.0)
 
-    def test_unknown_key_rejected(self, config_path):
-        doc = json.loads(config_path.read_text())
-        with pytest.raises(UsageError):
-            apply_overrides(doc, ["jj=4"])
+    def test_unknown_key_rejected(self, config_path, capsys):
+        assert main(["spectrum", "--config", str(config_path), "--set", "jj=4"]) == 1
+        assert "unknown config key: jj" in capsys.readouterr().err
 
-    def test_missing_equals_rejected(self, config_path):
+    def test_missing_equals_rejected(self, config_path, capsys):
+        assert main(["spectrum", "--config", str(config_path), "--set", "j"]) == 1
+        assert "--set expects KEY=VALUE" in capsys.readouterr().err
+
+
+class TestPrecedence:
+    """Flags over --set over the file; an explicit cache_dir over the environment."""
+
+    def test_out_beats_set_beats_file(self, config_path, tmp_path, monkeypatch):
+        args = ["--config", str(config_path)]
+        assert configured(monkeypatch, *args)[0].output_dir == tmp_path / "out"
+        args += ["--set", f"output_dir={tmp_path / 'set'}"]
+        assert configured(monkeypatch, *args)[0].output_dir == tmp_path / "set"
+        args += ["--out", str(tmp_path / "flag")]
+        assert configured(monkeypatch, *args)[0].output_dir == tmp_path / "flag"
+
+    def test_out_flag_is_not_json(self, config_path, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert configured(monkeypatch, "--config", str(config_path),
+                          "--out", "123")[0].output_dir == Path("123")
+
+    def test_workers_beats_set_beats_file(self, config_path, monkeypatch):
+        args = ["--config", str(config_path)]
+        assert configured(monkeypatch, *args)[0].workers == 1
+        args += ["--set", "workers=2"]
+        assert configured(monkeypatch, *args)[0].workers == 2
+        args += ["--workers", "3"]
+        assert configured(monkeypatch, *args)[0].workers == 3
+
+    @pytest.mark.parametrize("where", ["file", "set"])
+    def test_cache_dir_beats_environment(self, config_path, tmp_path, monkeypatch, where):
+        monkeypatch.setenv("DICKE_CHAOS_CACHE_DIR", str(tmp_path / "env"))
+        args = ["--config", str(config_path)]
+        if where == "file":
+            doc = json.loads(config_path.read_text())
+            config_path.write_text(json.dumps({**doc, "cache_dir": str(tmp_path / "own")}))
+        else:
+            args += ["--set", f"cache_dir={tmp_path / 'own'}"]
+        config, cache = configured(monkeypatch, *args)
+        assert config.cache_dir == tmp_path / "own" and cache.root == tmp_path / "own"
+        assert not (tmp_path / "env").exists()
+
+    def test_empty_cache_dir_falls_back_to_environment(self, config_path, tmp_path, monkeypatch):
+        monkeypatch.setenv("DICKE_CHAOS_CACHE_DIR", str(tmp_path / "env"))
         doc = json.loads(config_path.read_text())
-        with pytest.raises(UsageError):
-            apply_overrides(doc, ["j"])
+        config_path.write_text(json.dumps({**doc, "cache_dir": ""}))
+        config, cache = configured(monkeypatch, "--config", str(config_path))
+        assert config.cache_dir == tmp_path / "env" and cache.root == tmp_path / "env"
 
 
 class TestExitCodes:
@@ -88,6 +143,12 @@ class TestExitCodes:
         code = main(["sweep", "--config", str(tmp_path / "missing.json")])
         assert code == 1
         assert "missing.json" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_bytes(b'{"j": 6, "output_dir": "\xff"}')
+        assert main(["spectrum", "--config", str(path)]) == 1
+        assert f"config {path} is not UTF-8 text: " in capsys.readouterr().err
 
     def test_unknown_set_key_is_usage_error(self, config_path, capsys):
         code = main(["spacing", "--config", str(config_path), "--set", "nope=1"])

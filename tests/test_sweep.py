@@ -38,7 +38,6 @@ from dicke_chaos.sweep import (
     CSV_HEADER,
     check_grids,
     histogram_name,
-    load_config,
     read_config,
     write_boundary_csv,
     write_errors_sidecar,
@@ -418,6 +417,13 @@ class TestBoundaryOutput:
         assert path.read_text().splitlines()[1] == "0,nan,false"
 
 
+def read_doc(tmp_path, doc, overrides=()):
+    """``read_config`` on ``doc`` written as a config file."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    return read_config(path, overrides)
+
+
 class TestConfig:
     def test_json_roundtrip(self, tmp_path):
         doc = {
@@ -428,56 +434,63 @@ class TestConfig:
             "thresholds": {"eta_max": 0.3, "beta_min": 0.7, "mean_r_min": 0.48},
             "workers": 2, "output_dir": str(tmp_path / "out"),
         }
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(doc))
-        config = check_grids(read_config(load_config(path)))
+        config = check_grids(read_doc(tmp_path, doc))
         assert config.base.j == 6.0
         assert config.kappa_grid == (0.0, 0.5)
         assert config.fit_degree == 8
         assert config.thresholds.mean_r_min == 0.48
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"omega": 1.0, "bogus": 2}))
         with pytest.raises(UsageError):
-            load_config(path)
+            read_doc(tmp_path, {"omega": 1.0, "bogus": 2})
 
     def test_unknown_threshold_key_rejected(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps({"thresholds": {"nope": 0.5}}))
         with pytest.raises(UsageError):
-            load_config(path)
+            read_doc(tmp_path, {"thresholds": {"nope": 0.5}})
 
-    def test_point_params_maps_lambda(self):
-        params = read_config({"lambda": 0.8, "kappa": 0.2, "j": 2.0,
-                              "n_cutoff": 10}).base
+    def test_point_params_maps_lambda(self, tmp_path):
+        params = read_doc(tmp_path, {"lambda": 0.8, "kappa": 0.2, "j": 2.0,
+                                     "n_cutoff": 10}).base
         assert params.lambda_ == 0.8 and params.kappa == 0.2
 
-    def test_grids_required_for_sweeps(self):
+    def test_grids_required_for_sweeps(self, tmp_path):
         with pytest.raises(UsageError):
-            check_grids(read_config({"omega": 1.0}))
+            check_grids(read_doc(tmp_path, {"omega": 1.0}))
 
-    def test_descending_grid_rejected(self):
+    def test_descending_grid_rejected(self, tmp_path):
         with pytest.raises(UsageError):
-            check_grids(read_config({"kappa_grid": [0.5, 0.0], "lambda_grid": [0.1]}))
+            check_grids(read_doc(tmp_path, {"kappa_grid": [0.5, 0.0], "lambda_grid": [0.1]}))
 
     @pytest.mark.parametrize("key, value", [("bins", 5), ("fit_degree", -1)])
-    def test_bad_bins_or_fit_degree_rejected(self, key, value):
+    def test_bad_bins_or_fit_degree_rejected(self, tmp_path, key, value):
         with pytest.raises(UsageError):
-            check_grids(read_config({"kappa_grid": [0.0], "lambda_grid": [0.1], key: value}))
+            check_grids(read_doc(tmp_path, {"kappa_grid": [0.0], "lambda_grid": [0.1],
+                                            key: value}))
 
     @pytest.mark.parametrize("value", [80, 80.0, "80"])
-    def test_integral_values_accepted(self, value):
-        params = read_config({"j": 6.0, "n_cutoff": value}).base
+    def test_integral_values_accepted(self, tmp_path, value):
+        params = read_doc(tmp_path, {"j": 6.0, "n_cutoff": value}).base
         assert params.n_cutoff == 80 and isinstance(params.n_cutoff, int)
 
     @pytest.mark.parametrize("key, value", [
         ("workers", 1.9), ("n_cutoff", True), ("bins", "abc"), ("output_dir", 5),
         ("kappa", float("nan")), ("mid_window", [1.0]),
     ])
-    def test_malformed_value_rejected_by_key(self, key, value):
+    def test_malformed_value_rejected_by_key(self, tmp_path, key, value):
         with pytest.raises(UsageError, match=key):
-            check_grids(read_config({"kappa_grid": [0.0], "lambda_grid": [0.1], key: value}))
+            check_grids(read_doc(tmp_path, {"kappa_grid": [0.0], "lambda_grid": [0.1],
+                                            key: value}))
+
+    def test_overrides_apply_in_order(self, tmp_path):
+        config = read_doc(tmp_path, {"j": 6.0, "thresholds": {"eta_max": 0.2}},
+                          [("j", 4), ("j", 5), ("thresholds.beta_min", 0.6)])
+        assert config.base.j == 5
+        assert config.thresholds == Thresholds(eta_max=0.2, beta_min=0.6)
+
+    @pytest.mark.parametrize("overrides", [(), [("thresholds.eta_max", 0.2)]])
+    def test_malformed_thresholds_rejected(self, tmp_path, overrides):
+        with pytest.raises(UsageError, match="thresholds must be an object"):
+            read_doc(tmp_path, {"thresholds": 5}, overrides)
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
