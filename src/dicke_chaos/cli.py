@@ -64,6 +64,8 @@ def _override(pair: str) -> tuple[str, object]:
     key, sep, raw = pair.partition("=")
     if not sep or key == "thresholds":
         raise UsageError(f"--set expects KEY=VALUE or thresholds.KEY=VALUE, got {pair!r}")
+    if key in ("output_dir", "cache_dir"):  # a path stays text: a directory may be named 2024
+        return key, raw
     try:
         return key, json.loads(raw)
     except json.JSONDecodeError:

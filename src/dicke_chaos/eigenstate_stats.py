@@ -4,7 +4,8 @@ Eigenstates of a chaotic real symmetric Hamiltonian behave like GOE
 eigenvectors, whose components in any fixed basis are asymptotically Gaussian
 with zero mean and variance 1/D.  The Kullback-Leibler divergence between the
 pooled empirical coefficient distribution of mid-spectrum states and that
-Gaussian quantifies the distance from full chaos.
+Gaussian quantifies the distance from full chaos.  ``scipy.special`` (the
+Gaussian CDF) is imported at the first :func:`kl_divergence`, not with the module.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
 
 from .errors import DegenerateRange, EmptySample, EmptyWindow, MissingVectors
 from .spectrum import SpectralDataset, _window_mask
@@ -101,6 +101,7 @@ def _log_gaussian_bin_masses(edges: np.ndarray, dim: int) -> np.ndarray:
     lie entirely in one tail are evaluated through the log CDF instead, using
     ln sf(z) = ln cdf(-z) for the upper tail.
     """
+    from scipy.special import log_ndtr, ndtr
     z = edges * np.sqrt(float(dim))
     z_lo, z_hi = z[:-1], z[1:]
     out = np.empty(z_lo.size)

@@ -3,7 +3,8 @@
 Implements spectrum unfolding, the nearest-neighbor spacing distribution with
 its Poisson / Wigner-Dyson / Brody references, the eta indicator, adjacent
 spacing ratios with their Poisson / GOE references, and threshold scans that
-extract a chaos boundary lambda*(kappa) from sweep grids.
+extract a chaos boundary lambda*(kappa) from sweep grids.  ``scipy.special`` is
+imported at the first :func:`brody_scale`, so boundary extraction never loads it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     AllDegenerate,
@@ -47,6 +47,7 @@ def wigner_dyson_pdf(s):
 
 def brody_scale(beta: float) -> float:
     """Rate factor Gamma((beta+2)/(beta+1))**(beta+1) of the Brody density."""
+    from scipy.special import gammaln
     b1 = beta + 1.0
     return float(np.exp(gammaln((beta + 2.0) / b1) * b1))
 

@@ -12,7 +12,8 @@ Every E/N window in the package is cut by ``_window_mask``: the analysis window
 here and in ``sweep.compute_point_data``, and the mid window in
 ``eigenstate_stats.collect_coefficients``.  ``tail_weights`` gives each windowed
 state's weight on the top Fock layers, the truncation diagnostic behind a sweep
-row's ``converged_fraction``.
+row's ``converged_fraction``.  ``scipy.linalg`` is imported at the first solve, so a
+process that only reads cached spectra never loads LAPACK.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConvergenceFailure, EmptyWindow, MissingVectors
 from .model import HamiltonianMatrix, ModelParams
@@ -85,12 +85,13 @@ def diagonalize(h: HamiltonianMatrix, want_vectors: bool = False) -> EigenDecomp
     ConvergenceFailure
         If the LAPACK routine does not converge (not expected for this model).
     """
+    from scipy.linalg import eig_banded, eigh
     try:
         if want_vectors:
-            w, v = scipy.linalg.eigh(h.entries, driver="evd", overwrite_a=True)
+            w, v = eigh(h.entries, driver="evd", overwrite_a=True)
             _fix_phases(v)
         else:
-            w = scipy.linalg.eig_banded(h.band, lower=True, eigvals_only=True)
+            w = eig_banded(h.band, lower=True, eigvals_only=True)
             v = None
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
@@ -120,6 +121,7 @@ def windowed_eigenvectors(band: np.ndarray, energies: np.ndarray,
     ConvergenceFailure
         If a state's residual is not certified after ``MAX_SOLVES`` solves.
     """
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
     dim, b = band.shape[1], band.shape[0] - 1
     vectors = np.zeros((dim, indices.size), order="F")
     if b == 0:
@@ -144,12 +146,12 @@ def windowed_eigenvectors(band: np.ndarray, energies: np.ndarray,
             first = col
         np.copyto(lu, general)
         lu[2 * b] -= energies[i]
-        lu, piv, _ = scipy.linalg.lapack.dgbtrf(lu, b, b, overwrite_ab=True)
+        lu, piv, _ = dgbtrf(lu, b, b, overwrite_ab=True)
         diag = lu[2 * b]
         diag[diag == 0.0] = tiny_pivot  # E_i is exact: a zero pivot of U would divide by 0
         x = start
         for solves in range(1, MAX_SOLVES + 1):
-            x, _ = scipy.linalg.lapack.dgbtrs(lu, b, b, x, piv)
+            x, _ = dgbtrs(lu, b, b, x, piv)
             mates = vectors[:, first:col]
             x -= mates @ (mates.T @ x)
             norm = np.linalg.norm(x)

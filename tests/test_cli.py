@@ -55,6 +55,33 @@ def test_import_leaves_out_scipy_stats_and_optimize():
     assert out.stdout.strip() == "[]"
 
 
+def test_calls_that_solve_nothing_load_no_lapack(config_path, tmp_path):
+    """boundary and a cached spectrum start without scipy.linalg or scipy.special."""
+    cache = tmp_path / "cache"
+    assert main(["sweep", "--config", str(config_path), "--set", f"cache_dir={cache}"]) == 0
+    src = str(Path(dicke_chaos.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop("DICKE_CHAOS_CACHE_DIR", None)
+    probe = f"""
+import json, sys
+import dicke_chaos, dicke_chaos.cli as cli
+def loaded():
+    return sorted(m for m in ("scipy.linalg", "scipy.special") if m in sys.modules)
+seen = [loaded()]
+assert cli.main(["boundary", "--config", {str(config_path)!r}]) == 0
+seen.append(loaded())
+assert cli.main(["spectrum", "--config", {str(config_path)!r}, "--set", "kappa=0",
+                 "--set", "lambda=0.3", "--set", "cache_dir={cache}"]) == 0
+seen.append(loaded())
+print(json.dumps(seen))
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert json.loads(out.stdout.splitlines()[-1]) == [[], [], []]
+    assert (tmp_path / "out" / "spectrum_0_0.3.csv").exists()
+    assert len(list(cache.iterdir())) == 12  # the sweep's 4 points x 3 entries: a cache hit
+
+
 def configured(monkeypatch, *args):
     """The SweepConfig and cache that ``main`` hands a subcommand for these arguments."""
     seen = []
@@ -108,6 +135,13 @@ class TestPrecedence:
         monkeypatch.chdir(tmp_path)
         assert configured(monkeypatch, "--config", str(config_path),
                           "--out", "123")[0].output_dir == Path("123")
+
+    @pytest.mark.parametrize("key", ["output_dir", "cache_dir"])
+    def test_set_path_is_not_json(self, config_path, tmp_path, monkeypatch, key):
+        monkeypatch.chdir(tmp_path)
+        config, _ = configured(monkeypatch, "--config", str(config_path), "--set", f"{key}=2024")
+        assert getattr(config, key) == Path("2024")
+        assert (tmp_path / "2024").is_dir()
 
     def test_workers_beats_set_beats_file(self, config_path, monkeypatch):
         args = ["--config", str(config_path)]
@@ -235,7 +269,6 @@ class TestExitCodes:
         ("spectrum", "j=abc"),
         ("spectrum", "lambda=null"),
         ("spectrum", "energy_window=5"),
-        ("spectrum", "cache_dir=5"),
         ("spectrum", "n_cutoff=2.5"),
         ("spectrum", "n_cutoff=true"),
         ("sweep", "n_cutoff=30.7"),
@@ -249,6 +282,16 @@ class TestExitCodes:
         code = main([command, "--config", str(config_path), "--set", override])
         assert code == 1
         assert override.partition("=")[0] in capsys.readouterr().err
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("key", ["output_dir", "cache_dir"])
+    def test_numeric_path_in_config_file_is_usage_error(self, config_path, tmp_path, capsys,
+                                                        key):
+        doc = json.loads(config_path.read_text())
+        config_path.write_text(json.dumps({**doc, key: 5}))
+        assert main(["spectrum", "--config", str(config_path)]) == 1
+        assert f"config key {key}: expected a path string, got 5" in capsys.readouterr().err
         out = tmp_path / "out"
         assert not out.exists() or not any(out.iterdir())
 
