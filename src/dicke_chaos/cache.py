@@ -10,12 +10,15 @@ File layout (all integers little-endian):
     ...       float64 array, little-endian
 
 A point has one eigenvalue entry (``KIND_ENERGIES``), which every command reads
-and writes; a point with vectors adds its mid-window coefficients and tail
-weights.  Each entry is written whole to a temporary file and moved into place
-by an atomic rename, so concurrent sweep workers can share one directory and a
-reader never sees a partial write.  A malformed entry (truncated, or with a
-mangled key, say) raises CacheFormatError on load; the sweep treats it as a
-miss, solves the point again and the rewrite replaces it.
+and writes; a point with vectors adds its pooled mid-window coefficients, its
+tail weights and, per bin count, those coefficients' histogram
+(``[n_states, c_min, c_max, counts...]``), which is all a warm D_KL reads of them.
+Each entry is written whole to a temporary file and moved into place by an atomic
+rename, so concurrent sweep workers can share one directory and a reader never
+sees a partial write.  A malformed entry (truncated, or with a mangled key, say)
+raises CacheFormatError on load; the sweep treats it as a miss and remakes it (a
+histogram from the cached coefficients, the rest by a solve), and the rewrite
+replaces it.
 """
 
 from __future__ import annotations
@@ -39,10 +42,11 @@ VERSION = 1
 KIND_ENERGIES = "energies"          # full-spectrum eigenvalues, ascending
 KIND_MID_COEFFS = "mid_coeffs"      # pooled mid-window eigenvector components
 KIND_TAIL_WEIGHTS = "tail_weights"  # per-windowed-state Fock-tail weights
+KIND_MID_HISTOGRAM = "mid_histogram"  # bin counts of the mid-window coefficients
 
 
 def cache_key(params: ModelParams, sector: Parity | None, kind: str,
-              tail_width: int | None = None) -> dict:
+              tail_width: int | None = None, bins: int | None = None) -> dict:
     """Canonical key document for one payload.
 
     Only the fields the payload actually depends on are included, so e.g.
@@ -60,9 +64,13 @@ def cache_key(params: ModelParams, sector: Parity | None, kind: str,
         "n_cutoff": int(params.n_cutoff),
         "sector": sector.value if sector is not None else "full",
     }
-    if kind == KIND_MID_COEFFS:
+    if kind in (KIND_MID_COEFFS, KIND_MID_HISTOGRAM):
         doc["mid_window"] = [float(x) for x in params.mid_window]
         doc["energy_window"] = [float(x) for x in params.energy_window]
+    if kind == KIND_MID_HISTOGRAM:
+        if bins is None:
+            raise ValueError("bins is part of the mid-histogram cache key")
+        doc["bins"] = int(bins)
     elif kind == KIND_TAIL_WEIGHTS:
         if tail_width is None:
             raise ValueError("tail_width is part of the tail-weight cache key")
@@ -79,9 +87,9 @@ class SpectrumCache:
         self.root.mkdir(parents=True, exist_ok=True)
 
     def path(self, params: ModelParams, sector: Parity | None, kind: str,
-             tail_width: int | None = None) -> Path:
+             tail_width: int | None = None, bins: int | None = None) -> Path:
         """The file the payload of this key lives in, whether or not it exists."""
-        return self._path(self._key_json(params, sector, kind, tail_width))
+        return self._path(self._key_json(params, sector, kind, tail_width, bins))
 
     def _path(self, key_json: str) -> Path:
         digest = hashlib.sha256(key_json.encode("utf-8")).hexdigest()
@@ -89,12 +97,12 @@ class SpectrumCache:
 
     @staticmethod
     def _key_json(params: ModelParams, sector: Parity | None, kind: str,
-                  tail_width: int | None = None) -> str:
-        return json.dumps(cache_key(params, sector, kind, tail_width),
+                  tail_width: int | None = None, bins: int | None = None) -> str:
+        return json.dumps(cache_key(params, sector, kind, tail_width, bins),
                           sort_keys=True, separators=(",", ":"))
 
     def load(self, params: ModelParams, sector: Parity | None, kind: str,
-             tail_width: int | None = None) -> np.ndarray | None:
+             tail_width: int | None = None, bins: int | None = None) -> np.ndarray | None:
         """Return the cached array, or None on a miss.
 
         Raises
@@ -102,38 +110,55 @@ class SpectrumCache:
         CacheFormatError
             If an existing file has the wrong magic, version, key or length.
         """
-        key_json = self._key_json(params, sector, kind, tail_width)
+        key_json = self._key_json(params, sector, kind, tail_width, bins)
         path = self._path(key_json)
         if not path.exists():
             return None
-        blob = path.read_bytes()
-        if len(blob) < len(MAGIC) + 8 or blob[: len(MAGIC)] != MAGIC:
+        with open(path, "rb") as fh:
+            count = self._read_header(fh, path, key_json)
+            return np.frombuffer(fh.read(8 * count), dtype="<f8").astype(np.float64)
+
+    def check(self, params: ModelParams, sector: Parity | None, kind: str,
+              tail_width: int | None = None, bins: int | None = None) -> bool:
+        """Whether a well-formed entry is on disk: what :meth:`load` checks, with the
+        payload left unread."""
+        key_json = self._key_json(params, sector, kind, tail_width, bins)
+        path = self._path(key_json)
+        try:
+            with open(path, "rb") as fh:
+                self._read_header(fh, path, key_json)
+        except (FileNotFoundError, CacheFormatError):
+            return False
+        return True
+
+    @staticmethod
+    def _read_header(fh, path: Path, key_json: str) -> int:
+        """Check an open entry's magic, version, key and file length; return its element
+        count, with ``fh`` at the payload."""
+        head = fh.read(len(MAGIC) + 8)
+        if len(head) < len(MAGIC) + 8 or head[: len(MAGIC)] != MAGIC:
             raise CacheFormatError(f"{path}: bad magic")
-        off = len(MAGIC)
-        version, keylen = struct.unpack_from("<II", blob, off)
-        off += 8
+        version, keylen = struct.unpack_from("<II", head, len(MAGIC))
         if version != VERSION:
             raise CacheFormatError(f"{path}: unsupported version {version}")
-        stored_key = blob[off : off + keylen]
-        off += keylen
-        if stored_key != key_json.encode("utf-8"):
+        if fh.read(keylen) != key_json.encode("utf-8"):
             raise CacheFormatError(f"{path}: key mismatch")
-        # A file cut inside the count field is shorter than off + 8: it fails the check too.
-        count = int.from_bytes(blob[off : off + 8], "little")
-        off += 8
-        if len(blob) != off + 8 * count:
+        count = int.from_bytes(fh.read(8), "little")
+        # the payload's offset: a file cut inside the count field is shorter, and fails too
+        size, off = os.fstat(fh.fileno()).st_size, len(MAGIC) + 16 + keylen
+        if size != off + 8 * count:
             raise CacheFormatError(
-                f"{path}: truncated or over-long ({len(blob)} bytes, expected {off + 8 * count})"
+                f"{path}: truncated or over-long ({size} bytes, expected {off + 8 * count})"
             )
-        data = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-        return data.astype(np.float64, copy=True)
+        return count
 
     def store(self, params: ModelParams, sector: Parity | None, kind: str,
-              values: np.ndarray, tail_width: int | None = None) -> None:
+              values: np.ndarray, tail_width: int | None = None,
+              bins: int | None = None) -> None:
         """Write one payload through an atomic rename, replacing any entry already there
         (it is only called after a miss, so that entry was malformed).  If the write
         or the rename fails, the temporary file is removed and the error re-raised."""
-        key_json = self._key_json(params, sector, kind, tail_width)
+        key_json = self._key_json(params, sector, kind, tail_width, bins)
         path = self._path(key_json)
         key_bytes = key_json.encode("utf-8")
         arr = np.ascontiguousarray(values, dtype="<f8")

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from .cache import SpectrumCache
-from .eigenstate_stats import build_histogram, kl_divergence
+from .eigenstate_stats import build_histogram, coefficient_stats
 from .errors import EmptyWindow, NonRectangularGrid, UsageError
 from .spectral_stats import split_degenerate
 from .sweep import (
@@ -126,14 +126,13 @@ def cmd_ratio(config: SweepConfig, cache) -> list[Path]:
 
 
 def cmd_eigstats(config: SweepConfig, cache) -> list[Path]:
-    sample = compute_point_data(config.base, cache=cache, want_vectors=True).sample
-    if sample is None:
+    coeffs = compute_point_data(config.base, cache, bins=config.bins).coefficients
+    if coeffs is None:
         raise EmptyWindow("no eigenstate inside the mid-spectrum window")
-    d_kl = kl_divergence(sample, bins=config.bins)
-    hist = build_histogram(sample.values, config.bins, value_range=(sample.c_min, sample.c_max))
+    d_kl, hist = coefficient_stats(coeffs)
     return _write_point_histogram(config, "coeff", hist, {
-        "d_kl": d_kl, "dim": sample.dim, "n_states": sample.n_states,
-        "c_min": sample.c_min, "c_max": sample.c_max,
+        "d_kl": d_kl, "dim": coeffs.dim, "n_states": coeffs.n_states,
+        "c_min": coeffs.c_min, "c_max": coeffs.c_max,
     })
 
 

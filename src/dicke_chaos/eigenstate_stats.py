@@ -20,6 +20,8 @@ from .spectrum import SpectralDataset, _window_mask
 DEFAULT_BINS = 201
 #: Fewest histogram bins :func:`kl_divergence` accepts.
 MIN_BINS = 10
+#: Narrowest coefficient range [c_min, c_max] D_KL accepts.
+MIN_SPAN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,6 +65,36 @@ class CoefficientSample:
     def pool(cls, values: np.ndarray, dim: int) -> CoefficientSample:
         """Sample of the pooled states' dim-component columns, laid end to end (non-empty)."""
         return cls(values, dim, values.size // dim, float(values.min()), float(values.max()))
+
+
+@dataclass(frozen=True)
+class CoefficientHistogram:
+    """A sample's counts in equal-width bins over [c_min, c_max]: all D_KL and P(c) read."""
+
+    counts: np.ndarray
+    dim: int
+    n_states: int
+    c_min: float
+    c_max: float
+
+    @classmethod
+    def of(cls, sample: CoefficientSample, bins: int) -> CoefficientHistogram:
+        """Bin the sample.  A range below MIN_SPAN, which D_KL refuses before reading any
+        count, keeps zero counts: np.histogram cannot split a few ulps into bins."""
+        if bins < MIN_BINS:
+            raise ValueError(f"bins must be >= {MIN_BINS}, got {bins}")
+        span = (sample.c_min, sample.c_max)
+        counts = (np.histogram(sample.values, bins, span)[0] if span[1] - span[0] >= MIN_SPAN
+                  else np.zeros(bins))
+        return cls(counts, sample.dim, sample.n_states, *span)
+
+    @classmethod
+    def from_payload(cls, payload: np.ndarray, dim: int) -> CoefficientHistogram:
+        return cls(payload[3:], dim, int(payload[0]), float(payload[1]), float(payload[2]))
+
+    @property
+    def payload(self) -> np.ndarray:  # the mid_histogram cache entry
+        return np.concatenate(([self.n_states, self.c_min, self.c_max], self.counts))
 
 
 def collect_coefficients(ds: SpectralDataset) -> CoefficientSample:
@@ -124,11 +156,10 @@ def _log_gaussian_bin_masses(edges: np.ndarray, dim: int) -> np.ndarray:
     return out
 
 
-def kl_divergence(sample: CoefficientSample, bins: int = DEFAULT_BINS) -> float:
-    """Kullback-Leibler divergence of the coefficient distribution from GOE.
+def coefficient_stats(hist: CoefficientHistogram) -> tuple[float, Histogram]:
+    """D_KL of binned coefficients from GOE, and their P(c) histogram.
 
-    The sample is histogrammed into equal-width bins over [c_min, c_max]; the
-    reference mass per bin is integrated exactly from the Gaussian CDF.  With
+    The reference mass per bin is integrated exactly from the Gaussian CDF.  With
     p_i the empirical and q_i the reference bin mass,
 
         D_KL = sum over occupied bins of p_i ln(p_i / q_i)
@@ -138,21 +169,32 @@ def kl_divergence(sample: CoefficientSample, bins: int = DEFAULT_BINS) -> float:
 
     Raises
     ------
+    DegenerateRange
+        If c_max - c_min is below 1e-12.
+    """
+    if hist.c_max - hist.c_min < MIN_SPAN:
+        raise DegenerateRange("coefficient range collapsed to a point")
+    # np.histogram's own edges: cached and fresh counts give the same bits
+    edges = np.histogram_bin_edges(np.empty(0), hist.counts.size, (hist.c_min, hist.c_max))
+    total = hist.counts.sum()
+    p = hist.counts / total
+    log_q = _log_gaussian_bin_masses(edges, hist.dim)
+    occupied = p > 0
+    d_kl = float(np.sum(p[occupied] * (np.log(p[occupied]) - log_q[occupied])))
+    return d_kl, Histogram(edges, hist.counts / (total * np.diff(edges)), hist.counts)
+
+
+def kl_divergence(sample: CoefficientSample, bins: int = DEFAULT_BINS) -> float:
+    """Kullback-Leibler divergence of the coefficient distribution from GOE, by
+    :func:`coefficient_stats` on the sample's :class:`CoefficientHistogram`.
+
+    Raises
+    ------
     EmptySample
         If the sample has no values.
     DegenerateRange
         If c_max - c_min is below 1e-12.
     """
-    if bins < MIN_BINS:
-        raise ValueError(f"bins must be >= {MIN_BINS}, got {bins}")
     if sample.values.size == 0:
         raise EmptySample("coefficient sample is empty")
-    if sample.c_max - sample.c_min < 1e-12:
-        raise DegenerateRange("coefficient range collapsed to a point")
-    counts, edges = np.histogram(
-        sample.values, bins=bins, range=(sample.c_min, sample.c_max)
-    )
-    p = counts / counts.sum()
-    log_q = _log_gaussian_bin_masses(edges, sample.dim)
-    occupied = p > 0
-    return float(np.sum(p[occupied] * (np.log(p[occupied]) - log_q[occupied])))
+    return coefficient_stats(CoefficientHistogram.of(sample, bins))[0]

@@ -29,14 +29,16 @@ from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .cache import KIND_ENERGIES, KIND_MID_COEFFS, KIND_TAIL_WEIGHTS, SpectrumCache
+from .cache import (KIND_ENERGIES, KIND_MID_COEFFS, KIND_MID_HISTOGRAM, KIND_TAIL_WEIGHTS,
+                    SpectrumCache)
 from .eigenstate_stats import (
     DEFAULT_BINS,
     MIN_BINS,
+    CoefficientHistogram,
     CoefficientSample,
     Histogram,
+    coefficient_stats,
     collect_coefficients,
-    kl_divergence,
 )
 from .errors import CacheFormatError, DickeChaosError, EmptyWindow, OutputUnwritable, UsageError
 from .model import ModelParams, Parity, build_hamiltonian
@@ -140,14 +142,15 @@ CSV_HEADER = ",".join(name.removesuffix("_") for name, _ in CSV_COLUMNS)  # lamb
 class PointData:
     """One parameter point as the sweep and the CLI read it.
 
-    The energies are the same with or without vectors.  ``tail`` and ``sample``
-    are None without vectors; ``sample`` also when the mid window holds no state.
+    The energies are the same with or without vectors.  ``tail`` and ``coefficients``
+    (the pooled mid-window components' histogram, not the components) are None
+    without vectors; ``coefficients`` also when the mid window holds no state.
     """
 
-    energies: np.ndarray                 # full spectrum, ascending
-    window_indices: np.ndarray           # positions of the E/N-windowed levels
-    tail: np.ndarray | None              # Fock-tail weights per windowed level
-    sample: CoefficientSample | None     # pooled mid-window components
+    energies: np.ndarray                          # full spectrum, ascending
+    window_indices: np.ndarray                    # positions of the E/N-windowed levels
+    tail: np.ndarray | None                       # Fock-tail weights per windowed level
+    coefficients: CoefficientHistogram | None     # binned pooled mid-window components
 
     @property
     def windowed(self) -> np.ndarray:
@@ -155,36 +158,45 @@ class PointData:
         return self.energies[self.window_indices]
 
 
-def _load(cache: SpectrumCache | None, params: ModelParams, kind: str) -> np.ndarray | None:
+def _load(cache: SpectrumCache | None, params: ModelParams, kind: str,
+          bins: int | None = None) -> np.ndarray | None:
     """One cached payload, or None without a cache or entry, or for a corrupt entry,
     which is then remade and rewritten."""
     if cache is None:
         return None
     try:
-        return cache.load(params, Parity.EVEN, kind, tail_width=DEFAULT_TAIL_WIDTH)
+        return cache.load(params, Parity.EVEN, kind, tail_width=DEFAULT_TAIL_WIDTH, bins=bins)
     except CacheFormatError:
         return None
 
 
 def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
-                       want_vectors: bool = True) -> PointData:
+                       want_vectors: bool = True, bins: int = DEFAULT_BINS) -> PointData:
     """Obtain the spectrum (and, if wanted, eigenvector summaries) for one point.
 
     Each payload is read from the cache by :func:`_load`, or made and stored;
-    an entry already well-formed is never rewritten.  Only a missing payload
-    builds the even-parity block: its band solve gives the eigenvalues, stored
-    at once, and :func:`windowed_eigenvectors` on them, cached or fresh, the
-    analysis-window vectors that the tail weights and mid-window coefficients are
-    made from.  No D x D matrix is made.  Cached payloads are exact float64 copies,
-    so a warm run reproduces a cold run bit for bit; empty windows store empty
-    arrays.
+    an entry already well-formed is never rewritten.  A vector run reads the pooled
+    mid-window coefficients only to make their histogram in ``bins`` bins if that
+    is missing; otherwise it checks their entry's header and leaves them unread.
+    Only a missing eigenvalue, tail or coefficient payload builds the even-parity
+    block: its band solve gives the eigenvalues, stored at once, and
+    :func:`windowed_eigenvectors` on them, cached or fresh, the analysis-window
+    vectors that the tail weights and mid-window coefficients are made from.  No
+    D x D matrix is made.  Cached payloads are exact float64 copies, so a warm run
+    reproduces a cold run bit for bit; empty windows store empty arrays.
     """
     sector = Parity.EVEN
     energies = _load(cache, params, KIND_ENERGIES)
-    mid = tail = None
+    mid = tail = hist = None
+    mid_kept = False  # a well-formed mid_coeffs entry is on disk
     if want_vectors:
-        mid, tail = _load(cache, params, KIND_MID_COEFFS), _load(cache, params, KIND_TAIL_WEIGHTS)
-    make_vectors = want_vectors and (mid is None or tail is None)
+        tail = _load(cache, params, KIND_TAIL_WEIGHTS)
+        hist = _load(cache, params, KIND_MID_HISTOGRAM, bins)
+        mid_kept = cache is not None and cache.check(params, sector, KIND_MID_COEFFS)
+        if mid_kept and hist is None:
+            mid = _load(cache, params, KIND_MID_COEFFS)
+            mid_kept = mid is not None
+    make_vectors = want_vectors and (tail is None or not mid_kept)
     if energies is None or make_vectors:
         h = build_hamiltonian(params, sector)
     if energies is None:
@@ -200,13 +212,19 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
             made_mid = collect_coefficients(ds).values
         except EmptyWindow:
             made_mid = np.zeros(0)  # what an empty mid window stores
-        if cache is not None and mid is None:
+        if cache is not None and not mid_kept:
             cache.store(params, sector, KIND_MID_COEFFS, made_mid)
         if cache is not None and tail is None:
             cache.store(params, sector, KIND_TAIL_WEIGHTS, made_tail, tail_width=DEFAULT_TAIL_WIDTH)
         mid, tail = made_mid, made_tail
-    sample = CoefficientSample.pool(mid, energies.size) if mid is not None and mid.size else None
-    return PointData(energies, window, tail, sample)
+    if want_vectors and hist is None:
+        hist = (CoefficientHistogram.of(CoefficientSample.pool(mid, energies.size), bins).payload
+                if mid.size else np.zeros(0))
+        if cache is not None:
+            cache.store(params, sector, KIND_MID_HISTOGRAM, hist, bins=bins)
+    coefficients = (CoefficientHistogram.from_payload(hist, energies.size)
+                    if hist is not None and hist.size else None)
+    return PointData(energies, window, tail, coefficients)
 
 
 @dataclass
@@ -259,7 +277,7 @@ def compute_point(params: ModelParams, fit_degree: int = DEFAULT_FIT_DEGREE,
     """
     row = SweepResultRow(kappa=params.kappa, lambda_=params.lambda_)
     try:
-        data = compute_point_data(params, cache=cache, want_vectors=True)
+        data = compute_point_data(params, cache=cache, want_vectors=True, bins=bins)
     except Exception as exc:  # failed point -> NaN row, sweep continues
         row.error = f"{type(exc).__name__}: {exc}"
         return row
@@ -275,11 +293,11 @@ def compute_point(params: ModelParams, fit_degree: int = DEFAULT_FIT_DEGREE,
         row.n_degenerate_dropped = stats.n_degenerate_dropped
         notes += [f"{name}: {exc}" for name, exc in stats.errors.items()]
         row.converged_fraction = float(np.mean(data.tail < DEFAULT_TAIL_TOL))
-        if data.sample is None:
+        if data.coefficients is None:
             notes.append("d_kl: mid window empty")
         else:
             try:
-                row.d_kl = kl_divergence(data.sample, bins=bins)
+                row.d_kl, _ = coefficient_stats(data.coefficients)
             except DickeChaosError as exc:
                 notes.append(f"d_kl: {exc}")
     if notes:
@@ -290,12 +308,12 @@ def compute_point(params: ModelParams, fit_degree: int = DEFAULT_FIT_DEGREE,
 def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
     """Run the full grid and return rows ordered (kappa asc, lambda asc).
 
-    Every row is :func:`compute_point`.  A point whose three payload files are all
-    on disk is computed in this process (a corrupt entry among them is remade and
-    rewritten here); the rest go to a pool of ``min(workers, misses)`` spawned
-    processes, so an all-hit grid starts none, and each solved row returns to its
-    miss's place.  A worker that dies raises ``BrokenProcessPool`` instead of
-    hanging the sweep.
+    Every row is :func:`compute_point`.  A point whose energies, mid-window
+    coefficients and tail weights are all on disk is computed in this process (a
+    corrupt entry among them, or a missing histogram, is remade and written here);
+    the rest go to a pool of ``min(workers, misses)`` spawned processes, so an
+    all-hit grid starts none, and each solved row returns to its miss's place.  A
+    worker that dies raises ``BrokenProcessPool`` instead of hanging the sweep.
     """
     points = [replace(config.base, kappa=kappa, lambda_=lam)
               for kappa in config.kappa_grid for lam in config.lambda_grid]

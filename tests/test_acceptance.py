@@ -14,6 +14,7 @@ import pytest
 from dicke_chaos import (
     ModelParams,
     Parity,
+    SpectrumCache,
     SweepConfig,
     brody_pdf,
     build_hamiltonian,
@@ -33,6 +34,7 @@ from dicke_chaos import (
     wigner_dyson_pdf,
     write_csv,
 )
+from dicke_chaos.cache import KIND_MID_COEFFS
 from dicke_chaos.eigenstate_stats import CoefficientSample
 from dicke_chaos.spectrum import DEFAULT_TAIL_TOL
 from dicke_chaos.sweep import compute_point_data
@@ -82,20 +84,24 @@ def indicator_scan():
 
 
 @pytest.fixture(scope="module")
-def eigenvector_runs():
+def eigenvector_runs(tmp_path_factory):
     """Vector-resolved runs at the production cutoff, plus an eigenvalue-only
-    cross-check 40 Fock layers higher, at lambda = 0.1 and 1.0 (kappa = 0)."""
+    cross-check 40 Fock layers higher, at lambda = 0.1 and 1.0 (kappa = 0).  The
+    pooled components come from the run's cache entry."""
+    cache = SpectrumCache(tmp_path_factory.mktemp("eigenvector_runs"))
     out = {}
     for lam in (0.1, 1.0):
         params = ModelParams(lambda_=lam, kappa=0.0, **FULL_SCALE)
-        data = compute_point_data(params)
+        data = compute_point_data(params, cache)
+        sample = CoefficientSample.pool(cache.load(params, Parity.EVEN, KIND_MID_COEFFS),
+                                        data.energies.size)
         hi = compute_point_data(replace(params, n_cutoff=params.n_cutoff + 40),
                                 want_vectors=False)
         flags = data.tail < DEFAULT_TAIL_TOL
         out[lam] = {
-            "d_kl": kl_divergence(data.sample, bins=201),
-            "pooled_variance": float(np.var(data.sample.values)),
-            "dim": data.sample.dim,
+            "d_kl": kl_divergence(sample, bins=201),
+            "pooled_variance": float(np.var(sample.values)),
+            "dim": sample.dim,
             "windowed": data.windowed,
             "windowed_hi": hi.windowed,
             "converged_flags": flags,

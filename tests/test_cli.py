@@ -79,7 +79,7 @@ print(json.dumps(seen))
                          text=True, check=True, timeout=120)
     assert json.loads(out.stdout.splitlines()[-1]) == [[], [], []]
     assert (tmp_path / "out" / "spectrum_0_0.3.csv").exists()
-    assert len(list(cache.iterdir())) == 12  # the sweep's 4 points x 3 entries: a cache hit
+    assert len(list(cache.iterdir())) == 16  # the sweep's 4 points x 4 entries: a cache hit
 
 
 def configured(monkeypatch, *args):

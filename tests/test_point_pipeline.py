@@ -14,6 +14,7 @@ from dicke_chaos import (
     Parity,
     SpectrumCache,
     build_hamiltonian,
+    build_histogram,
     collect_coefficients,
     compute_point,
     diagonalize,
@@ -21,8 +22,10 @@ from dicke_chaos import (
     kl_divergence,
     windowed_eigenvectors,
 )
-from dicke_chaos.cache import KIND_ENERGIES
+from dicke_chaos.cache import (KIND_ENERGIES, KIND_MID_COEFFS, KIND_MID_HISTOGRAM,
+                               KIND_TAIL_WEIGHTS)
 from dicke_chaos.cli import main
+from dicke_chaos.eigenstate_stats import DEFAULT_BINS
 from dicke_chaos.spectrum import DEFAULT_TAIL_TOL, tail_weights
 from dicke_chaos.sweep import compute_point_data
 
@@ -32,14 +35,20 @@ from histogram_io import read_histogram
 POINTS = [(0.9, 0.0), (0.3, 0.7), (0.0, 0.0)]
 
 
-@pytest.mark.parametrize("lam, kappa", POINTS)
-def test_compute_point_matches_library_route(lam, kappa):
-    params = ModelParams(j=6.0, n_cutoff=80, lambda_=lam, kappa=kappa)
-    row = compute_point(params)
+def library_dataset(params):
+    """The analysis-window dataset of one point, vectors included, by the library calls."""
     h = build_hamiltonian(params, Parity.EVEN)
     eig = diagonalize(h)
     ds = filter_energy_window(eig, params)
     ds.coefficients = windowed_eigenvectors(h.band, eig.energies, ds.window_indices)
+    return ds
+
+
+@pytest.mark.parametrize("lam, kappa", POINTS)
+def test_compute_point_matches_library_route(lam, kappa):
+    params = ModelParams(j=6.0, n_cutoff=80, lambda_=lam, kappa=kappa)
+    row = compute_point(params)
+    ds = library_dataset(params)
     assert row.n_levels == ds.energies.size
     assert row.d_kl == kl_divergence(collect_coefficients(ds))
     assert row.converged_fraction == np.mean(tail_weights(ds) < DEFAULT_TAIL_TOL)
@@ -81,7 +90,8 @@ def test_cold_and_warm_cache_write_identical_files(tmp_path):
         outputs.append([(out / name).read_bytes() for name in ("sweep.csv", "sweep_errors.json")])
         entries.append(sorted(p.name for p in cache_dir.iterdir()))
     assert outputs[0] == outputs[1]
-    assert entries[0] == entries[1] and len(entries[0]) == 12
+    # 4 points x 4 entries: energies, mid-window coefficients, tail weights, histogram
+    assert entries[0] == entries[1] and len(entries[0]) == 16
 
 
 def test_vector_run_reuses_the_cached_eigenvalues(tmp_path, monkeypatch):
@@ -104,7 +114,8 @@ def test_vector_run_reuses_the_cached_eigenvalues(tmp_path, monkeypatch):
     assert os.stat(energies_entry).st_ino == inode  # os.replace would give a new inode
     uncached = compute_point_data(params)
     assert np.array_equal(data.tail, uncached.tail)
-    assert np.array_equal(data.sample.values, uncached.sample.values)
+    assert np.array_equal(cache.load(params, Parity.EVEN, KIND_MID_COEFFS),
+                          collect_coefficients(library_dataset(params)).values)
 
 
 @pytest.mark.parametrize("lam, kappa", POINTS)
@@ -181,3 +192,138 @@ def test_point_commands_report_the_sweep_row(tmp_path, lam, kappa):
     expected = [row.eta, row.beta, row.mean_r, row.n_degenerate_dropped, row.d_kl]
     # NaN is written as null
     assert [None if isinstance(v, float) and math.isnan(v) else v for v in expected] == reported
+
+
+def point_config(tmp_path, name, **doc):
+    """A config file at j = 6, n_cutoff = 80 with the keys of ``doc``."""
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"j": 6.0, "n_cutoff": 80, **doc}))
+    return path
+
+
+GRID = {"kappa_grid": [0.0, 0.7], "lambda_grid": [0.0, 0.9]}
+
+
+@pytest.mark.parametrize("bins", [201, 57])
+@pytest.mark.parametrize("lam, kappa", [(0.3, 0.7), (0.9, 0.0)], ids=["regular", "chaotic"])
+def test_warm_d_kl_and_p_of_c_equal_the_pooled_components_route(tmp_path, lam, kappa, bins):
+    """A warm point reads D_KL and P(c) off its cached histogram: bit for bit what the
+    cold and the uncached runs give, and what histogramming the components gives."""
+    params = ModelParams(j=6.0, n_cutoff=80, lambda_=lam, kappa=kappa)
+    cache = SpectrumCache(tmp_path / "cache")
+    cold = compute_point(params, bins=bins, cache=cache)
+    warm = compute_point(params, bins=bins, cache=cache)
+    sample = collect_coefficients(library_dataset(params))
+    assert cold.d_kl == warm.d_kl == kl_divergence(sample, bins)
+    config = point_config(tmp_path, "point", **{"lambda": lam, "kappa": kappa, "bins": bins})
+    name = f"hist_coeff_{format(kappa, 'g')}_{format(lam, 'g')}.json"
+    written = {}
+    for run, cache_dir in (("uncached", ""), ("warm", cache.root)):
+        assert main(["eigstats", "--config", str(config), "--out", str(tmp_path / run),
+                     "--set", f"cache_dir={cache_dir}"]) == 0
+        written[run] = (tmp_path / run / name).read_bytes()
+    assert written["warm"] == written["uncached"]
+    hist, meta = read_histogram(tmp_path / "warm" / name)
+    reference = build_histogram(sample.values, bins, (sample.c_min, sample.c_max))
+    for field in ("edges", "densities", "counts"):
+        assert np.array_equal(getattr(hist, field), getattr(reference, field))
+    assert meta["d_kl"] == warm.d_kl
+
+
+def test_empty_mid_window_is_still_a_d_kl_note(tmp_path, capsys):
+    params = ModelParams(j=6.0, n_cutoff=80, lambda_=0.9, kappa=0.0, mid_window=(6.5, 7.0))
+    cache = SpectrumCache(tmp_path / "cache")
+    cold, warm = (compute_point(params, cache=cache) for _ in range(2))
+    assert cold == warm
+    assert math.isnan(warm.d_kl) and "d_kl: mid window empty" in warm.error.split("; ")
+    assert cache.load(params, Parity.EVEN, KIND_MID_HISTOGRAM, bins=DEFAULT_BINS).size == 0
+    config = point_config(tmp_path, "point", **{"lambda": 0.9, "mid_window": [6.5, 7.0],
+                                                 "cache_dir": str(cache.root)})
+    assert main(["eigstats", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: EmptyWindow: no eigenstate inside the mid-spectrum window\n")
+
+
+@pytest.mark.parametrize("ulps", [0, 2], ids=["one value", "two ulps apart"])
+def test_collapsed_coefficient_range_is_still_a_degenerate_range(tmp_path, capsys, ulps):
+    """Components planted with (nearly) one value: the histogram made from them keeps
+    the row's DegenerateRange note and eigstats' exit 2, and np.histogram, which cannot
+    split two ulps into bins, is never asked to."""
+    params = ModelParams(j=6.0, n_cutoff=80, lambda_=0.9, kappa=0.0)
+    cache = SpectrumCache(tmp_path / "cache")
+    data = compute_point_data(params, cache)
+    values = np.full(data.energies.size * data.coefficients.n_states, 0.25)
+    for _ in range(ulps):
+        values[-1] = np.nextafter(values[-1], 1.0)
+    cache.store(params, Parity.EVEN, KIND_MID_COEFFS, values)
+    cache.path(params, Parity.EVEN, KIND_MID_HISTOGRAM, bins=DEFAULT_BINS).unlink()
+    row = compute_point(params, cache=cache)
+    assert math.isnan(row.d_kl)
+    assert "d_kl: coefficient range collapsed to a point" in row.error.split("; ")
+    config = point_config(tmp_path, "point", **{"lambda": 0.9, "cache_dir": str(cache.root)})
+    assert main(["eigstats", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: DegenerateRange: coefficient range collapsed to a point\n")
+
+
+def test_warm_sweep_reads_no_pooled_components(tmp_path, monkeypatch):
+    config = point_config(tmp_path, "sweep", cache_dir=str(tmp_path / "cache"), **GRID)
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "cold")]) == 0
+    kinds = []
+    load = SpectrumCache.load
+
+    def spy(self, params, sector, kind, *args, **kwargs):
+        kinds.append(kind)
+        return load(self, params, sector, kind, *args, **kwargs)
+
+    monkeypatch.setattr(SpectrumCache, "load", spy)
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "warm")]) == 0
+    assert sorted(kinds) == sorted([KIND_ENERGIES, KIND_TAIL_WEIGHTS, KIND_MID_HISTOGRAM] * 4)
+    assert ((tmp_path / "warm" / "sweep.csv").read_bytes()
+            == (tmp_path / "cold" / "sweep.csv").read_bytes())
+
+
+def test_new_bins_on_a_warm_cache_adds_one_histogram_per_point(tmp_path, monkeypatch):
+    """A warm sweep at bins it has no histograms for makes them from the cached
+    components in its own process, rewrites no entry, and writes a cold sweep's bytes."""
+    cache_dir = tmp_path / "cache"
+    config = point_config(tmp_path, "sweep", **GRID)
+
+    def sweep_csv(name, *overrides):
+        args = ["sweep", "--config", str(config), "--out", str(tmp_path / name)]
+        assert main([*args, *(x for o in overrides for x in ("--set", o))]) == 0
+        return (tmp_path / name / "sweep.csv").read_bytes()
+
+    at_201 = sweep_csv("first", f"cache_dir={cache_dir}")
+    cold = sweep_csv("cold", f"cache_dir={tmp_path / 'fresh'}", "bins=57")
+    entries = {p.name: (p.stat().st_ino, p.read_bytes()) for p in cache_dir.iterdir()}
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a warm sweep started a pool")
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+    assert sweep_csv("warm", f"cache_dir={cache_dir}", "bins=57") == cold != at_201
+    after = {p.name: (p.stat().st_ino, p.read_bytes()) for p in cache_dir.iterdir()}
+    assert {name: after[name] for name in entries} == entries
+    grid = [ModelParams(j=6.0, n_cutoff=80, kappa=kappa, lambda_=lam)
+            for kappa in GRID["kappa_grid"] for lam in GRID["lambda_grid"]]
+    cache = SpectrumCache(cache_dir)
+    assert set(after) - set(entries) == {
+        cache.path(params, Parity.EVEN, KIND_MID_HISTOGRAM, bins=57).name for params in grid}
+
+
+def test_truncated_histogram_is_remade_from_the_cached_components(tmp_path, monkeypatch):
+    params = ModelParams(j=6.0, n_cutoff=80, lambda_=0.9, kappa=0.0)
+    cache = SpectrumCache(tmp_path)
+    cold = compute_point(params, cache=cache)
+    entry = cache.path(params, Parity.EVEN, KIND_MID_HISTOGRAM, bins=DEFAULT_BINS)
+    blob = entry.read_bytes()
+    entry.write_bytes(blob[:-8])
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a point with its components cached solved for vectors")
+
+    monkeypatch.setattr(sweep, "windowed_eigenvectors", no_solve)
+    monkeypatch.setattr(sweep, "build_hamiltonian", no_solve)
+    assert compute_point(params, cache=cache) == cold
+    assert entry.read_bytes() == blob

@@ -22,7 +22,7 @@ from dicke_chaos import (
     kl_divergence,
     windowed_eigenvectors,
 )
-from dicke_chaos.cache import KIND_ENERGIES, KIND_MID_COEFFS, cache_key
+from dicke_chaos.cache import KIND_ENERGIES, KIND_MID_COEFFS, KIND_MID_HISTOGRAM, cache_key
 from dicke_chaos.errors import CacheFormatError, EmptyWindow, MissingVectors
 from dicke_chaos.spectrum import DEFAULT_TAIL_TOL, _fix_phases, tail_weights
 
@@ -171,6 +171,15 @@ class TestBandedSolve:
     def test_cache_key_names_the_solver(self):
         p = ModelParams(lambda_=0.7, j=2.0, n_cutoff=11)
         assert cache_key(p, Parity.EVEN, KIND_ENERGIES)["solver"] == "sbevd+gbtrs"
+
+    def test_histogram_key_is_the_coefficient_key_plus_bins(self):
+        p = ModelParams(lambda_=0.7, j=2.0, n_cutoff=11)
+        mid = cache_key(p, Parity.EVEN, KIND_MID_COEFFS)
+        assert "bins" not in mid
+        assert (cache_key(p, Parity.EVEN, KIND_MID_HISTOGRAM, bins=57)
+                == {**mid, "kind": KIND_MID_HISTOGRAM, "bins": 57})
+        with pytest.raises(ValueError, match="bins"):
+            cache_key(p, Parity.EVEN, KIND_MID_HISTOGRAM)
 
 
 def windowed_pair(params):
@@ -474,6 +483,25 @@ class TestSpectrumCache:
         path.write_bytes(blob)
         with pytest.raises(CacheFormatError, match=path.name):
             cache.load(p, Parity.EVEN, KIND_ENERGIES)
+
+    @pytest.mark.parametrize("damage", ["none", "missing", "truncated", "bad magic",
+                                        "mangled key"])
+    def test_check_is_true_exactly_where_load_returns_an_array(self, tmp_path, damage):
+        cache = SpectrumCache(tmp_path)
+        p = ModelParams(j=1.0, n_cutoff=8)
+        cache.store(p, Parity.EVEN, KIND_ENERGIES, np.array([1.0, 2.0]))
+        path = cache.path(p, Parity.EVEN, KIND_ENERGIES)
+        blob = path.read_bytes()
+        if damage == "missing":
+            path.unlink()
+        elif damage != "none":
+            path.write_bytes({"truncated": blob[:-8], "bad magic": b"NOTMAGIC" + blob[8:],
+                              "mangled key": blob[:16] + b"\xff" + blob[17:]}[damage])
+        try:
+            loaded = cache.load(p, Parity.EVEN, KIND_ENERGIES) is not None
+        except CacheFormatError:
+            loaded = False
+        assert cache.check(p, Parity.EVEN, KIND_ENERGIES) == loaded == (damage == "none")
 
     def test_failed_store_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         def refuse(src, dst):
