@@ -4,9 +4,14 @@ Eigenvalues come from the band storage of H (LAPACK ``sbevd``, O(D^2 b) work and
 O(D b) memory for half-bandwidth b, against O(D^3) and 8 D^2 bytes dense).  The
 eigenvectors of the windowed states come from banded inverse iteration
 (:func:`windowed_eigenvectors`, LAPACK ``gbtrf``/``gbtrs``, O(D b^2) work and
-O(D b) memory per state), so neither route makes a D x D matrix.  The dense
-divide-and-conquer ``evd`` (``diagonalize(h, want_vectors=True)``) stays as the
-oracle the banded routes are tested against.
+O(D b) memory per state), so neither route makes a D x D matrix.  Those two
+routines are called through their pointers in ``scipy.linalg.cython_lapack``, which
+release the GIL, from one thread per slice of the windowed states.  A slice is cut
+only between clusters of close levels, so the vectors are the same bytes with any
+thread count.  The default is a thread per core the process may run on
+(:func:`available_cores`); ``sweep.run_sweep`` gives each pool worker its share.
+The dense divide-and-conquer ``evd`` (``diagonalize(h, want_vectors=True)``) stays
+as the oracle the banded routes are tested against.
 
 Every E/N window in the package is cut by ``_window_mask``: the analysis window
 here and in ``sweep.compute_point_data``, and the mid window in
@@ -18,7 +23,11 @@ process that only reads cached spectra never loads LAPACK.
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -98,8 +107,54 @@ def diagonalize(h: HamiltonianMatrix, want_vectors: bool = False) -> EigenDecomp
     return EigenDecomposition(energies=w, vectors=v, basis=h.basis)
 
 
-def windowed_eigenvectors(band: np.ndarray, energies: np.ndarray,
-                          indices: np.ndarray) -> np.ndarray:
+def available_cores() -> int:
+    """Cores this process may run on (its CPU affinity where the platform has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+@cache
+def _lapack() -> tuple:
+    """(dgbtrf, dgbtrs): the LAPACK routines behind ``scipy.linalg.cython_lapack``,
+    resolved at the first solve from their capsules as ctypes functions that take every
+    argument by address and release the GIL for the length of the call, so that threads
+    factor and solve at once.  scipy's f2py wrappers call the same routines but hold
+    the GIL."""
+    import ctypes
+    from scipy.linalg import cython_lapack
+    api = ctypes.pythonapi
+    name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
+    pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", api))
+
+    def routine(symbol: str, n_args: int):
+        capsule = cython_lapack.__pyx_capi__[symbol]
+        prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)
+        return prototype(pointer(capsule, name(capsule)))
+
+    return routine("dgbtrf", 8), routine("dgbtrs", 11)
+
+
+def _check_arguments(info: np.ndarray, routine: str) -> None:
+    if info[0] < 0:
+        raise RuntimeError(f"LAPACK {routine}: argument {-info[0]} has an illegal value")
+
+
+def _slice_bounds(windowed: np.ndarray, tol: float, threads: int) -> np.ndarray:
+    """Bounds [0, ..., len] of at most ``threads`` nonempty slices of the ascending
+    ``windowed`` levels, about equal in size.  A slice starts only where a level lies
+    more than ``tol`` above the one before it, so no cluster is split."""
+    threads = max(1, min(threads, windowed.size))
+    allowed = np.append(np.nonzero(np.diff(windowed) > tol)[0] + 1, windowed.size)
+    targets = np.arange(1, threads) * windowed.size // threads
+    return np.unique(np.concatenate(([0], allowed[np.searchsorted(allowed, targets)],
+                                     [windowed.size])))
+
+
+def windowed_eigenvectors(band: np.ndarray, energies: np.ndarray, indices: np.ndarray,
+                          threads: int | None = None) -> np.ndarray:
     """Eigenvectors of the states ``indices`` by banded inverse iteration, D x k.
 
     ``band`` is H in LAPACK lower band storage (``HamiltonianMatrix.band``),
@@ -111,25 +166,35 @@ def windowed_eigenvectors(band: np.ndarray, energies: np.ndarray,
     vector only to residual / gap, so a state with a neighbor closer than
     ``CLUSTER_TOL`` max|E| always takes a second solve; runs of such states form a
     cluster, and each vector is reorthogonalized against the cluster's earlier ones
-    (Dhillon, BIT 38 (1998) 685).  Nothing D x D is made: the factorization takes
-    (3b + 1) D doubles.  Phases are fixed as in :func:`diagonalize`.  A diagonal H
-    (bandwidth 0) has exact ties; its vectors are the unit vectors, ties in basis
-    order.
+    (Dhillon, BIT 38 (1998) 685).
+
+    The states are cut into at most ``threads`` contiguous slices (default: every core
+    the process may run on, :func:`available_cores`), only at cluster boundaries, as
+    ScaLAPACK's ``PxSTEIN`` splits them.  Each slice runs in its own thread with its
+    own LU buffer and right-hand side, and calls LAPACK through :func:`_lapack`
+    without the GIL.  A state's shift, start vector and cluster mates do not depend
+    on the cut, so neither do the bytes returned.  Nothing D x D is made: each
+    thread's factorization takes (3b + 1) D doubles.  Phases are fixed as in
+    :func:`diagonalize`.  A diagonal H (bandwidth 0) has exact ties; its vectors are
+    the unit vectors, ties in basis order.
 
     Raises
     ------
     ConvergenceFailure
         If a state's residual is not certified after ``MAX_SOLVES`` solves.
+    RuntimeError
+        If LAPACK reports an illegal argument (``info < 0``).
     """
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
     dim, b = band.shape[1], band.shape[0] - 1
     vectors = np.zeros((dim, indices.size), order="F")
     if b == 0:
         order = np.argsort(band[0], kind="stable")
         vectors[order[indices], np.arange(indices.size)] = 1.0
         return vectors
+    dgbtrf, dgbtrs = _lapack()
     scale = float(np.max(np.abs(energies)))
     tiny_pivot = np.finfo(float).eps * scale
+    tol = CLUSTER_TOL * scale
     # H in dgbtrf's layout, AB[2b + r - c, c] = H[r, c]; rows 0..b-1 take the fill-in.
     general = np.zeros((3 * b + 1, dim), order="F")
     for d, row in enumerate(band):
@@ -138,30 +203,58 @@ def windowed_eigenvectors(band: np.ndarray, energies: np.ndarray,
     start = np.random.default_rng(START_SEED).standard_normal(dim)
     start /= np.linalg.norm(start)
     gaps = np.diff(energies, prepend=-np.inf, append=np.inf)
-    close = np.minimum(gaps[:-1], gaps[1:]) <= CLUSTER_TOL * scale  # a neighbor this close
-    lu = np.empty_like(general)
-    first = 0  # column of the current cluster's first state
-    for col, i in enumerate(indices):
-        if col and energies[i] - energies[indices[col - 1]] > CLUSTER_TOL * scale:
-            first = col
-        np.copyto(lu, general)
-        lu[2 * b] -= energies[i]
-        lu, piv, _ = dgbtrf(lu, b, b, overwrite_ab=True)
-        diag = lu[2 * b]
-        diag[diag == 0.0] = tiny_pivot  # E_i is exact: a zero pivot of U would divide by 0
-        x = start
-        for solves in range(1, MAX_SOLVES + 1):
-            x, _ = dgbtrs(lu, b, b, x, piv)
-            mates = vectors[:, first:col]
-            x -= mates @ (mates.T @ x)
-            norm = np.linalg.norm(x)
-            x /= norm
-            if norm * RESIDUAL_TOL * scale >= 1.0 and solves > close[i]:
-                break
-        else:
-            raise ConvergenceFailure(f"inverse iteration did not converge for state {i}")
-        _fix_phases(x[:, None])  # column by column: no D x k temporary
-        vectors[:, col] = x
+    close = np.minimum(gaps[:-1], gaps[1:]) <= tol  # a neighbor this close
+    windowed = energies[indices]
+    stop = threading.Event()  # set once the caller stops waiting: a slice failed or Ctrl-C
+
+    def solve(begin: int, end: int) -> None:
+        """Columns begin..end-1 of ``vectors``; ``begin`` starts a cluster."""
+        lu, x = np.empty_like(general), np.empty(dim)
+        piv, info = np.empty(dim, np.intc), np.zeros(1, np.intc)
+        ints = np.array([dim, b, 3 * b + 1, 1], np.intc)  # n, kl = ku, ldab, nrhs
+        trans = np.frombuffer(b"N", np.uint8)
+        n, kl, ldab, nrhs = (ints.ctypes.data + k * ints.itemsize for k in range(4))
+        # The arrays above stay referenced until this function returns.
+        factor = (n, n, kl, kl, lu.ctypes.data, ldab, piv.ctypes.data, info.ctypes.data)
+        solve_x = (trans.ctypes.data, n, kl, kl, nrhs, lu.ctypes.data, ldab,
+                   piv.ctypes.data, x.ctypes.data, n, info.ctypes.data)
+        first = begin  # column of the current cluster's first state
+        for col in range(begin, end):
+            if stop.is_set():
+                return
+            if col > begin and windowed[col] - windowed[col - 1] > tol:
+                first = col
+            i = indices[col]
+            np.copyto(lu, general)
+            lu[2 * b] -= energies[i]
+            dgbtrf(*factor)
+            _check_arguments(info, "dgbtrf")
+            if info[0] > 0:  # E_i is exact: perturb U's zero pivot rather than divide by it
+                diag = lu[2 * b]
+                diag[diag == 0.0] = tiny_pivot
+            np.copyto(x, start)
+            for solves in range(1, MAX_SOLVES + 1):
+                dgbtrs(*solve_x)
+                _check_arguments(info, "dgbtrs")
+                if first < col:
+                    mates = vectors[:, first:col]
+                    x -= mates @ (mates.T @ x)
+                norm = np.linalg.norm(x)
+                x /= norm
+                if norm * RESIDUAL_TOL * scale >= 1.0 and solves > close[i]:
+                    break
+            else:
+                raise ConvergenceFailure(f"inverse iteration did not converge for state {i}")
+            _fix_phases(x[:, None])  # column by column: no D x k temporary
+            vectors[:, col] = x
+
+    bounds = _slice_bounds(windowed, tol, threads or available_cores())
+    with ThreadPoolExecutor(max(1, bounds.size - 1)) as pool:
+        try:
+            for _ in pool.map(solve, bounds[:-1], bounds[1:]):
+                pass
+        finally:
+            stop.set()
     return vectors
 
 

@@ -58,6 +58,7 @@ from .spectrum import (
     DEFAULT_TAIL_WIDTH,
     SpectralDataset,
     _window_mask,
+    available_cores,
     diagonalize,
     tail_weights,
     windowed_eigenvectors,
@@ -171,7 +172,8 @@ def _load(cache: SpectrumCache | None, params: ModelParams, kind: str,
 
 
 def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
-                       want_vectors: bool = True, bins: int = DEFAULT_BINS) -> PointData:
+                       want_vectors: bool = True, bins: int = DEFAULT_BINS,
+                       threads: int | None = None) -> PointData:
     """Obtain the spectrum (and, if wanted, eigenvector summaries) for one point.
 
     Each payload is read from the cache by :func:`_load`, or made and stored;
@@ -181,7 +183,8 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
     Only a missing eigenvalue, tail or coefficient payload builds the even-parity
     block: its band solve gives the eigenvalues, stored at once, and
     :func:`windowed_eigenvectors` on them, cached or fresh, the analysis-window
-    vectors that the tail weights and mid-window coefficients are made from.  No
+    vectors that the tail weights and mid-window coefficients are made from, in
+    ``threads`` threads (default: every available core).  No
     D x D matrix is made.  Cached payloads are exact float64 copies, so a warm run
     reproduces a cold run bit for bit; empty windows store empty arrays.
     """
@@ -206,7 +209,8 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
     window = np.nonzero(_window_mask(energies, params.n_atoms, params.energy_window))[0]
     if make_vectors:
         ds = SpectralDataset(params, energies[window],
-                             windowed_eigenvectors(h.band, energies, window), window, h.basis)
+                             windowed_eigenvectors(h.band, energies, window, threads),
+                             window, h.basis)
         made_tail = tail_weights(ds, DEFAULT_TAIL_WIDTH)
         try:
             made_mid = collect_coefficients(ds).values
@@ -267,7 +271,8 @@ def level_statistics(windowed: np.ndarray, fit_degree: int) -> LevelStatistics:
 
 
 def compute_point(params: ModelParams, fit_degree: int = DEFAULT_FIT_DEGREE,
-                  bins: int = DEFAULT_BINS, cache: SpectrumCache | None = None) -> SweepResultRow:
+                  bins: int = DEFAULT_BINS, cache: SpectrumCache | None = None,
+                  threads: int | None = None) -> SweepResultRow:
     """All four chaos indicators for a single (kappa, lambda) point: the one maker of
     sweep rows, in a sweep's own process and in its workers alike.
 
@@ -277,7 +282,8 @@ def compute_point(params: ModelParams, fit_degree: int = DEFAULT_FIT_DEGREE,
     """
     row = SweepResultRow(kappa=params.kappa, lambda_=params.lambda_)
     try:
-        data = compute_point_data(params, cache=cache, want_vectors=True, bins=bins)
+        data = compute_point_data(params, cache=cache, want_vectors=True, bins=bins,
+                                  threads=threads)
     except Exception as exc:  # failed point -> NaN row, sweep continues
         row.error = f"{type(exc).__name__}: {exc}"
         return row
@@ -312,8 +318,10 @@ def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
     coefficients and tail weights are all on disk is computed in this process (a
     corrupt entry among them, or a missing histogram, is remade and written here);
     the rest go to a pool of ``min(workers, misses)`` spawned processes, so an
-    all-hit grid starts none, and each solved row returns to its miss's place.  A
-    worker that dies raises ``BrokenProcessPool`` instead of hanging the sweep.
+    all-hit grid starts none, and each solved row returns to its miss's place.  This
+    process solves in a thread per core, each worker in ``max(1, cores // pool size)``
+    threads, so fewer misses than workers still use every core.  A worker that dies
+    raises ``BrokenProcessPool`` instead of hanging the sweep.
     """
     points = [replace(config.base, kappa=kappa, lambda_=lam)
               for kappa in config.kappa_grid for lam in config.lambda_grid]
@@ -329,9 +337,11 @@ def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
     misses = [params for params, row in zip(points, rows) if row is None]
     if not misses:
         return rows
-    with ProcessPoolExecutor(max_workers=min(config.workers, len(misses)),
+    pool_size = min(config.workers, len(misses))
+    threads = max(1, available_cores() // pool_size)
+    with ProcessPoolExecutor(max_workers=pool_size,
                              mp_context=multiprocessing.get_context("spawn")) as pool:
-        solved = iter(list(pool.map(point, misses)))
+        solved = iter(list(pool.map(partial(point, threads=threads), misses)))
     return [row if row is not None else next(solved) for row in rows]
 
 

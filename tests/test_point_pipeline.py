@@ -94,6 +94,18 @@ def test_cold_and_warm_cache_write_identical_files(tmp_path):
     assert entries[0] == entries[1] and len(entries[0]) == 16
 
 
+def test_thread_count_never_changes_a_row_or_a_cache_byte(tmp_path):
+    params = ModelParams(j=6.0, n_cutoff=80, lambda_=0.9, kappa=0.7)
+    rows, entries = [], []
+    for threads in (1, None, 3):  # None: a thread per available core
+        cache_dir = tmp_path / f"threads{threads}"
+        rows.append(compute_point(params, cache=SpectrumCache(cache_dir), threads=threads))
+        entries.append({p.name: p.read_bytes() for p in cache_dir.iterdir()})
+    assert rows[0].error is None and len(entries[0]) == 4
+    assert rows[0] == rows[1] == rows[2]
+    assert entries[0] == entries[1] == entries[2]
+
+
 def test_vector_run_reuses_the_cached_eigenvalues(tmp_path, monkeypatch):
     """A vector run on a point whose eigenvalues alone are cached (eigstats or sweep
     after spacing) solves no eigenvalues and leaves their entry as it is."""

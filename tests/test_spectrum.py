@@ -1,14 +1,20 @@
 """Diagonalization, window filtering, convergence checks and the spectrum cache."""
 
+import math
 import os
+import sys
+import threading
 import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import dicke_chaos.spectrum as spectrum
 from dicke_chaos import (
     EigenDecomposition,
+    HamiltonianMatrix,
     ModelParams,
     Parity,
     SpectralDataset,
@@ -23,8 +29,9 @@ from dicke_chaos import (
     windowed_eigenvectors,
 )
 from dicke_chaos.cache import KIND_ENERGIES, KIND_MID_COEFFS, KIND_MID_HISTOGRAM, cache_key
-from dicke_chaos.errors import CacheFormatError, EmptyWindow, MissingVectors
-from dicke_chaos.spectrum import DEFAULT_TAIL_TOL, _fix_phases, tail_weights
+from dicke_chaos.errors import CacheFormatError, ConvergenceFailure, EmptyWindow, MissingVectors
+from dicke_chaos.spectrum import (CLUSTER_TOL, DEFAULT_TAIL_TOL, _fix_phases, _slice_bounds,
+                                  _window_mask, tail_weights)
 
 
 def solve(params, sector=Parity.EVEN, want_vectors=False):
@@ -140,11 +147,10 @@ class TestBandedSolve:
         h = build_hamiltonian(ModelParams(lambda_=lam, kappa=kappa, j=j, n_cutoff=n_cutoff), sector)
         assert np.max(np.abs(diagonalize(h).energies - evr_oracle(h))) <= 1e-10
 
-    def test_matches_dense_oracle_at_full_scale(self):
-        h = build_hamiltonian(ModelParams(lambda_=1.0, kappa=0.5, j=16.0, n_cutoff=320),
-                              Parity.EVEN)
+    def test_matches_dense_oracle_at_full_scale(self, full_scale):
+        h = full_scale.h
         assert h.dim == 5297 and h.bandwidth == 17
-        assert np.max(np.abs(diagonalize(h).energies - evr_oracle(h))) <= 1e-10
+        assert np.max(np.abs(full_scale.eig.energies - full_scale.evr)) <= 1e-10
 
     def test_values_route_holds_no_dense_matrix(self):
         p = ModelParams(lambda_=1.0, kappa=0.5, j=8.0, n_cutoff=160)
@@ -182,13 +188,39 @@ class TestBandedSolve:
             cache_key(p, Parity.EVEN, KIND_MID_HISTOGRAM)
 
 
-def windowed_pair(params):
-    """(inverse-iteration dataset, dense oracle dataset, H) for one point."""
+@dataclass
+class SolvedPoint:
+    """One point's H, its band solve and the dense evd oracle cut to the window."""
+
+    params: ModelParams
+    h: HamiltonianMatrix
+    eig: EigenDecomposition
+    dense: SpectralDataset
+    evr: np.ndarray | None = None
+
+
+def solved_point(params):
     h = build_hamiltonian(params, Parity.EVEN)
-    eig = diagonalize(h)
-    ds = filter_energy_window(eig, params)
-    ds.coefficients = windowed_eigenvectors(h.band, eig.energies, ds.window_indices)
-    return ds, filter_energy_window(diagonalize(h, want_vectors=True), params), h
+    dense = filter_energy_window(diagonalize(h, want_vectors=True), params)
+    return SolvedPoint(params, h, diagonalize(h), dense)
+
+
+@pytest.fixture(scope="module")
+def full_scale():
+    """The full-scale point, with H, sbevd and each dense oracle (evr, evd) run once."""
+    point = solved_point(ModelParams(lambda_=1.0, kappa=0.5, j=16.0, n_cutoff=320))
+    point.evr = evr_oracle(point.h)
+    return point
+
+
+def windowed_pair(params, solved=None):
+    """(inverse-iteration dataset, dense oracle dataset, H, band-solve energies) for one
+    point, from ``solved`` when given."""
+    solved = solved or solved_point(params)
+    h, energies = solved.h, solved.eig.energies
+    ds = filter_energy_window(solved.eig, params)
+    ds.coefficients = windowed_eigenvectors(h.band, energies, ds.window_indices)
+    return ds, solved.dense, h, energies
 
 
 def nearest_gaps(energies, indices):
@@ -196,8 +228,9 @@ def nearest_gaps(energies, indices):
     return np.minimum(np.append(gaps, np.inf), np.insert(gaps, 0, np.inf))[indices], gaps.mean()
 
 
-def assert_eigenpairs(h, ds):
-    """Orthonormal columns, and ||(H - E_i) v_i|| <= 1e-10 max|E| with H applied from the band."""
+def assert_eigenpairs(h, ds, energies):
+    """Orthonormal columns, and ||(H - E_i) v_i|| <= 1e-10 max|E| with H applied from the
+    band; ``energies`` is the full spectrum."""
     v = ds.coefficients
     assert np.max(np.abs(v.T @ v - np.eye(v.shape[1]))) <= 1e-8
     hv = h.band[0][:, None] * v
@@ -205,15 +238,15 @@ def assert_eigenpairs(h, ds):
         hv[d:] += h.band[d, : h.dim - d, None] * v[: h.dim - d]
         hv[: h.dim - d] += h.band[d, : h.dim - d, None] * v[d:]
     residual = np.linalg.norm(hv - v * ds.energies, axis=0)
-    assert np.max(residual) <= 1e-10 * np.max(np.abs(diagonalize(h).energies))
+    assert np.max(residual) <= 1e-10 * np.max(np.abs(energies))
 
 
-def assert_matches_dense(params):
+def assert_matches_dense(params, solved=None):
     """Inverse iteration against the dense oracle.  A state closer to a neighbor than
     1% of the mean spacing has a vector that no solver fixes to better than about
     eps max|E| / gap, the dense one included, so its vector and its tail weight are
     left to test_near_ties_match_extended_precision."""
-    ds, dense, h = windowed_pair(params)
+    ds, dense, h, energies = windowed_pair(params, solved)
     assert np.array_equal(ds.window_indices, dense.window_indices)  # n_levels
     assert np.array_equal(tail_weights(ds) < DEFAULT_TAIL_TOL,
                           tail_weights(dense) < DEFAULT_TAIL_TOL)
@@ -221,8 +254,7 @@ def assert_matches_dense(params):
     assert d_kl == pytest.approx(kl_divergence(collect_coefficients(dense)), rel=1e-9)
     v, k = ds.coefficients, ds.energies.size
     assert v.shape == (h.dim, k)
-    energies = diagonalize(h).energies
-    assert_eigenpairs(h, ds)
+    assert_eigenpairs(h, ds, energies)
     nearest, spacing = nearest_gaps(energies, ds.window_indices)
     apart = nearest >= 0.01 * spacing
     tails = np.abs(tail_weights(ds) - tail_weights(dense))
@@ -264,9 +296,9 @@ class TestInverseIteration:
     def test_tight_clusters_stay_orthogonal(self):
         """Levels 1e-11 apart: without reorthogonalization their vectors overlap by 1e-4."""
         params = ModelParams(lambda_=1e-5, kappa=0.7, j=6.0, n_cutoff=40)
-        ds, _, h = windowed_pair(params)
+        ds, _, h, energies = windowed_pair(params)
         assert np.min(np.diff(ds.energies)) < 1e-10
-        assert_eigenpairs(h, ds)
+        assert_eigenpairs(h, ds, energies)
 
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
                         reason="long double is no wider than double here")
@@ -274,8 +306,8 @@ class TestInverseIteration:
         """States 1e-6 apart: inverse iteration agrees with an 80-bit reference to 1e-10
         in tail weight, where the dense oracle is off by about 1e-8."""
         params = ModelParams(lambda_=0.001, kappa=0.7, j=6.0, n_cutoff=40)
-        ds, _, h = windowed_pair(params)
-        nearest, spacing = nearest_gaps(diagonalize(h).energies, ds.window_indices)
+        ds, _, h, energies = windowed_pair(params)
+        nearest, spacing = nearest_gaps(energies, ds.window_indices)
         tied = np.nonzero(nearest < 0.01 * spacing)[0]
         assert tied.size and np.min(nearest) < 1e-5 * spacing
         tail = h.basis.n >= params.n_cutoff - 20
@@ -284,15 +316,15 @@ class TestInverseIteration:
             x = long_double_inverse_iteration(shifted, ds.energies[col], h.bandwidth)
             assert abs(tail_weights(ds)[col] - np.sum(x[tail] ** 2)) <= 1e-10
 
-    def test_matches_dense_oracle_at_full_scale(self):
-        ds, _ = assert_matches_dense(ModelParams(lambda_=1.0, kappa=0.5, j=16.0, n_cutoff=320))
+    def test_matches_dense_oracle_at_full_scale(self, full_scale):
+        ds, _ = assert_matches_dense(full_scale.params, full_scale)
         assert ds.coefficients.shape == (5297, ds.energies.size)
 
     @pytest.mark.parametrize("j", [2.0, 6.0])
     @pytest.mark.parametrize("kappa", [0.0, 0.7])
     def test_uncoupled_rows_equal_the_dense_route(self, j, kappa):
         params = ModelParams(lambda_=0.0, kappa=kappa, j=j, n_cutoff=40)
-        ds, dense, h = windowed_pair(params)
+        ds, dense, h, _ = windowed_pair(params)
         assert h.bandwidth == 0
         assert np.array_equal(np.abs(ds.coefficients).sum(axis=0), np.ones(ds.energies.size))
         row = compute_point(params)
@@ -328,6 +360,86 @@ class TestInverseIteration:
             tracemalloc.stop()
         assert h.dim == vectors.shape[0] == 1369
         assert peak < 8 * h.dim**2
+
+
+# the tight-cluster, near-tie and chaotic points of TestInverseIteration
+THREAD_POINTS = [1e-5, 0.001, 0.9]
+
+
+def windowed_problem(lam):
+    """(band, band-solve energies, analysis-window indices) at j=6, n_cutoff=40, kappa=0.7."""
+    params = ModelParams(lambda_=lam, kappa=0.7, j=6.0, n_cutoff=40)
+    h = build_hamiltonian(params, Parity.EVEN)
+    energies = diagonalize(h).energies
+    window = _window_mask(energies, params.n_atoms, params.energy_window)
+    return h.band, energies, np.nonzero(window)[0]
+
+
+class TestThreads:
+    @pytest.mark.parametrize("lam", THREAD_POINTS)
+    def test_thread_count_never_changes_a_byte(self, lam):
+        band, energies, indices = windowed_problem(lam)
+        serial = windowed_eigenvectors(band, energies, indices, threads=1).tobytes()
+        # ten states around the closest pair, with more threads than they have clusters
+        tightest = int(np.argmin(np.diff(energies[indices])))
+        stretch = indices[max(0, tightest - 4): tightest + 6]
+        stretch_serial = windowed_eigenvectors(band, energies, stretch, threads=1).tobytes()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # threads trade the interpreter as often as it allows
+        try:
+            for threads in (2, 3):
+                assert windowed_eigenvectors(band, energies, indices, threads).tobytes() == serial
+            assert (windowed_eigenvectors(band, energies, stretch, stretch.size + 1).tobytes()
+                    == stretch_serial)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("lam", THREAD_POINTS)
+    @pytest.mark.parametrize("threads", [1, 2, 3, 7, 1000])
+    def test_slices_cut_only_between_clusters(self, lam, threads):
+        _, energies, indices = windowed_problem(lam)
+        tol = CLUSTER_TOL * np.max(np.abs(energies))
+        windowed = energies[indices]
+        bounds = _slice_bounds(windowed, tol, threads)
+        assert bounds[0] == 0 and bounds[-1] == windowed.size
+        assert np.all(np.diff(bounds) > 0) and bounds.size - 1 <= threads
+        cuts = bounds[1:-1]
+        assert np.all(windowed[cuts] - windowed[cuts - 1] > tol)
+        if threads >= windowed.size:  # then every cluster is a slice of its own
+            assert bounds.size - 1 == 1 + np.count_nonzero(np.diff(windowed) > tol)
+
+    def test_one_cluster_is_one_slice(self):
+        assert _slice_bounds(np.zeros(5), 1e-9, 3).tolist() == [0, 5]
+        assert _slice_bounds(np.zeros(0), 1e-9, 3).tolist() == [0]
+
+    def test_failure_raises_and_leaves_no_thread(self, monkeypatch):
+        band, energies, indices = windowed_problem(0.9)
+        baseline = threading.active_count()
+        monkeypatch.setattr(spectrum, "MAX_SOLVES", 0)
+        with pytest.raises(ConvergenceFailure, match="did not converge"):
+            windowed_eigenvectors(band, energies, indices, threads=2)
+        assert threading.active_count() == baseline
+        row = compute_point(ModelParams(lambda_=0.9, kappa=0.7, j=6.0, n_cutoff=40), threads=2)
+        assert row.error.startswith("ConvergenceFailure: inverse iteration did not converge")
+        assert math.isnan(row.d_kl) and math.isnan(row.converged_fraction)
+        assert threading.active_count() == baseline
+
+    @pytest.mark.parametrize("routine, name", [(0, "dgbtrf"), (1, "dgbtrs")])
+    def test_illegal_lapack_argument_raises(self, monkeypatch, routine, name):
+        """LAPACK itself flags a negative kl, argument 3 of both routines: info < 0 raises."""
+        band, energies, indices = windowed_problem(0.9)
+        baseline = threading.active_count()
+        routines = list(spectrum._lapack())
+        real, minus_one = routines[routine], np.array([-1], np.intc)
+
+        def negative_kl(*args):
+            real(*args[:2], minus_one.ctypes.data, *args[3:])
+
+        routines[routine] = negative_kl
+        monkeypatch.setattr(spectrum, "_lapack", lambda: tuple(routines))
+        with pytest.raises(RuntimeError, match=f"{name}: argument 3 has an illegal value"):
+            windowed_eigenvectors(band, energies, indices, threads=2)
+        assert threading.active_count() == baseline
 
 
 class TestEnergyWindow:
