@@ -13,12 +13,13 @@ A point has one eigenvalue entry (``KIND_ENERGIES``), which every command reads
 and writes; a point with vectors adds its pooled mid-window coefficients, its
 tail weights and, per bin count, those coefficients' histogram
 (``[n_states, c_min, c_max, counts...]``), which is all a warm D_KL reads of them.
-Each entry is written whole to a temporary file and moved into place by an atomic
-rename, so concurrent sweep workers can share one directory and a reader never
-sees a partial write.  A malformed entry (truncated, or with a mangled key, say)
-raises CacheFormatError on load; the sweep treats it as a miss and remakes it (a
-histogram from the cached coefficients, the rest by a solve), and the rewrite
-replaces it.
+The coefficients are read only to make a histogram at a new bin count; deleting
+their entries costs a vector solve when one is made.  Each entry is written whole
+to a temporary file and moved into place by an atomic rename, so concurrent sweep
+workers can share one directory and a reader never sees a partial write.  A
+malformed entry (truncated, or with a mangled key, say) raises CacheFormatError
+on load; the run that reads it treats it as a miss and remakes it (a histogram
+from the cached coefficients, the rest by a solve), and the rewrite replaces it.
 """
 
 from __future__ import annotations
@@ -89,17 +90,14 @@ class SpectrumCache:
     def path(self, params: ModelParams, sector: Parity | None, kind: str,
              tail_width: int | None = None, bins: int | None = None) -> Path:
         """The file the payload of this key lives in, whether or not it exists."""
-        return self._path(self._key_json(params, sector, kind, tail_width, bins))
+        return self._entry(params, sector, kind, tail_width, bins)[1]
 
-    def _path(self, key_json: str) -> Path:
-        digest = hashlib.sha256(key_json.encode("utf-8")).hexdigest()
-        return self.root / f"{digest}.spec"
-
-    @staticmethod
-    def _key_json(params: ModelParams, sector: Parity | None, kind: str,
-                  tail_width: int | None = None, bins: int | None = None) -> str:
-        return json.dumps(cache_key(params, sector, kind, tail_width, bins),
-                          sort_keys=True, separators=(",", ":"))
+    def _entry(self, params: ModelParams, sector: Parity | None, kind: str,
+               tail_width: int | None, bins: int | None) -> tuple[bytes, Path]:
+        """The key document as canonical UTF-8 JSON, and the file named by its hash."""
+        key = json.dumps(cache_key(params, sector, kind, tail_width, bins),
+                         sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return key, self.root / f"{hashlib.sha256(key).hexdigest()}.spec"
 
     def load(self, params: ModelParams, sector: Parity | None, kind: str,
              tail_width: int | None = None, bins: int | None = None) -> np.ndarray | None:
@@ -110,47 +108,26 @@ class SpectrumCache:
         CacheFormatError
             If an existing file has the wrong magic, version, key or length.
         """
-        key_json = self._key_json(params, sector, kind, tail_width, bins)
-        path = self._path(key_json)
+        key, path = self._entry(params, sector, kind, tail_width, bins)
         if not path.exists():
             return None
         with open(path, "rb") as fh:
-            count = self._read_header(fh, path, key_json)
+            head = fh.read(len(MAGIC) + 8)
+            if len(head) < len(MAGIC) + 8 or head[: len(MAGIC)] != MAGIC:
+                raise CacheFormatError(f"{path}: bad magic")
+            version, keylen = struct.unpack_from("<II", head, len(MAGIC))
+            if version != VERSION:
+                raise CacheFormatError(f"{path}: unsupported version {version}")
+            if fh.read(keylen) != key:
+                raise CacheFormatError(f"{path}: key mismatch")
+            count = int.from_bytes(fh.read(8), "little")
+            # the payload's offset: a file cut inside the count field is shorter, and fails too
+            size, off = os.fstat(fh.fileno()).st_size, len(MAGIC) + 16 + keylen
+            if size != off + 8 * count:
+                raise CacheFormatError(
+                    f"{path}: truncated or over-long ({size} bytes, expected {off + 8 * count})"
+                )
             return np.frombuffer(fh.read(8 * count), dtype="<f8").astype(np.float64)
-
-    def check(self, params: ModelParams, sector: Parity | None, kind: str,
-              tail_width: int | None = None, bins: int | None = None) -> bool:
-        """Whether a well-formed entry is on disk: what :meth:`load` checks, with the
-        payload left unread."""
-        key_json = self._key_json(params, sector, kind, tail_width, bins)
-        path = self._path(key_json)
-        try:
-            with open(path, "rb") as fh:
-                self._read_header(fh, path, key_json)
-        except (FileNotFoundError, CacheFormatError):
-            return False
-        return True
-
-    @staticmethod
-    def _read_header(fh, path: Path, key_json: str) -> int:
-        """Check an open entry's magic, version, key and file length; return its element
-        count, with ``fh`` at the payload."""
-        head = fh.read(len(MAGIC) + 8)
-        if len(head) < len(MAGIC) + 8 or head[: len(MAGIC)] != MAGIC:
-            raise CacheFormatError(f"{path}: bad magic")
-        version, keylen = struct.unpack_from("<II", head, len(MAGIC))
-        if version != VERSION:
-            raise CacheFormatError(f"{path}: unsupported version {version}")
-        if fh.read(keylen) != key_json.encode("utf-8"):
-            raise CacheFormatError(f"{path}: key mismatch")
-        count = int.from_bytes(fh.read(8), "little")
-        # the payload's offset: a file cut inside the count field is shorter, and fails too
-        size, off = os.fstat(fh.fileno()).st_size, len(MAGIC) + 16 + keylen
-        if size != off + 8 * count:
-            raise CacheFormatError(
-                f"{path}: truncated or over-long ({size} bytes, expected {off + 8 * count})"
-            )
-        return count
 
     def store(self, params: ModelParams, sector: Parity | None, kind: str,
               values: np.ndarray, tail_width: int | None = None,
@@ -158,16 +135,14 @@ class SpectrumCache:
         """Write one payload through an atomic rename, replacing any entry already there
         (it is only called after a miss, so that entry was malformed).  If the write
         or the rename fails, the temporary file is removed and the error re-raised."""
-        key_json = self._key_json(params, sector, kind, tail_width, bins)
-        path = self._path(key_json)
-        key_bytes = key_json.encode("utf-8")
+        key, path = self._entry(params, sector, kind, tail_width, bins)
         arr = np.ascontiguousarray(values, dtype="<f8")
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
         try:
             with open(tmp, "wb") as fh:
                 fh.write(MAGIC)
-                fh.write(struct.pack("<II", VERSION, len(key_bytes)))
-                fh.write(key_bytes)
+                fh.write(struct.pack("<II", VERSION, len(key)))
+                fh.write(key)
                 fh.write(struct.pack("<Q", arr.size))
                 fh.write(arr.tobytes())
             os.replace(tmp, path)

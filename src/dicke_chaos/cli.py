@@ -173,6 +173,9 @@ _COMMANDS = {
     "boundary": (cmd_boundary, "extract boundary curves from an existing sweep.csv"),
 }
 
+#: The subcommands that read no spectrum cache, so ``main`` opens (and creates) none for them.
+_CACHELESS = frozenset({"boundary"})
+
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
@@ -189,7 +192,8 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             raise UsageError(f"cannot create output directory {config.output_dir}: {exc}") from exc
         try:
-            cache = SpectrumCache(config.cache_dir) if config.cache_dir is not None else None
+            cache = (SpectrumCache(config.cache_dir)
+                     if config.cache_dir is not None and args.command not in _CACHELESS else None)
         except OSError as exc:
             raise UsageError(f"cannot create cache directory {config.cache_dir}: {exc}") from exc
         handler, _ = _COMMANDS[args.command]

@@ -76,6 +76,9 @@ class ModelParams:
     mid_window: tuple[float, float] = (1.75, 2.25)
 
     def __post_init__(self) -> None:
+        for name in ("omega", "omega0", "lambda_", "kappa", "j", "n_cutoff"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.omega > 0:
             raise ValueError(f"omega must be > 0, got {self.omega}")
         if not self.omega0 > 0:
@@ -89,6 +92,7 @@ class ModelParams:
             raise ValueError(f"j must be a positive integer or half-integer, got {self.j}")
         if int(self.n_cutoff) != self.n_cutoff or self.n_cutoff < 0:
             raise ValueError(f"n_cutoff must be a non-negative integer, got {self.n_cutoff}")
+        object.__setattr__(self, "n_cutoff", int(self.n_cutoff))  # 20.0 is no array shape
         for name in ("energy_window", "mid_window"):
             lo, hi = getattr(self, name)
             if not lo < hi:

@@ -4,7 +4,7 @@ Every point, for sweeps and the CLI alike, comes from :func:`compute_point_data`
 (each payload read from the spectrum cache, or made by the library's banded solve,
 windowed_eigenvectors, tail_weights and collect_coefficients and stored) and
 :func:`level_statistics`.  Every sweep row is :func:`compute_point`: a sweep runs it
-in its own process for the points whose cache entries are all on disk and in
+in its own process for the points whose cache entries are on disk and in
 spawned worker processes for the rest, and the rows come back in grid order
 (kappa ascending, lambda ascending), so neither the worker count nor the cache
 warmth changes a single output byte.  A failed point turns into a row
@@ -103,9 +103,9 @@ class SweepConfig:
             grid = getattr(self, name)
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be strictly ascending")
-            if grid:
-                try:  # the smallest value stands for the whole ascending grid
-                    replace(self.base, **{param: grid[0]})
+            for value in grid:
+                try:
+                    replace(self.base, **{param: value})
                 except ValueError as exc:
                     raise ValueError(f"{name}: {exc}") from exc
         if self.workers < 1:
@@ -176,30 +176,27 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
                        threads: int | None = None) -> PointData:
     """Obtain the spectrum (and, if wanted, eigenvector summaries) for one point.
 
-    Each payload is read from the cache by :func:`_load`, or made and stored;
-    an entry already well-formed is never rewritten.  A vector run reads the pooled
-    mid-window coefficients only to make their histogram in ``bins`` bins if that
-    is missing; otherwise it checks their entry's header and leaves them unread.
-    Only a missing eigenvalue, tail or coefficient payload builds the even-parity
-    block: its band solve gives the eigenvalues, stored at once, and
-    :func:`windowed_eigenvectors` on them, cached or fresh, the analysis-window
-    vectors that the tail weights and mid-window coefficients are made from, in
-    ``threads`` threads (default: every available core).  No
-    D x D matrix is made.  Cached payloads are exact float64 copies, so a warm run
-    reproduces a cold run bit for bit; empty windows store empty arrays.
+    Each payload is read from the cache by :func:`_load`, or made and stored; an
+    entry this run did not read, or read well-formed, is never rewritten.  The pooled
+    mid-window coefficients are read only to make a missing histogram in ``bins``
+    bins.  Only a missing eigenvalue or tail payload, or missing coefficients that a
+    histogram needs, build the even-parity block: its band solve gives the
+    eigenvalues, stored at once, and :func:`windowed_eigenvectors` on them, cached or
+    fresh, the analysis-window vectors the missing payloads are made from, in
+    ``threads`` threads (default: every available core).  No D x D matrix is made.
+    Cached payloads are exact float64 copies, so a warm run reproduces a cold run
+    bit for bit; empty windows store empty arrays.
     """
     sector = Parity.EVEN
     energies = _load(cache, params, KIND_ENERGIES)
     mid = tail = hist = None
-    mid_kept = False  # a well-formed mid_coeffs entry is on disk
     if want_vectors:
         tail = _load(cache, params, KIND_TAIL_WEIGHTS)
         hist = _load(cache, params, KIND_MID_HISTOGRAM, bins)
-        mid_kept = cache is not None and cache.check(params, sector, KIND_MID_COEFFS)
-        if mid_kept and hist is None:
+        if hist is None:
             mid = _load(cache, params, KIND_MID_COEFFS)
-            mid_kept = mid is not None
-    make_vectors = want_vectors and (tail is None or not mid_kept)
+    make_mid = want_vectors and hist is None and mid is None
+    make_vectors = want_vectors and (tail is None or make_mid)
     if energies is None or make_vectors:
         h = build_hamiltonian(params, sector)
     if energies is None:
@@ -211,16 +208,17 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
         ds = SpectralDataset(params, energies[window],
                              windowed_eigenvectors(h.band, energies, window, threads),
                              window, h.basis)
-        made_tail = tail_weights(ds, DEFAULT_TAIL_WIDTH)
-        try:
-            made_mid = collect_coefficients(ds).values
-        except EmptyWindow:
-            made_mid = np.zeros(0)  # what an empty mid window stores
-        if cache is not None and not mid_kept:
-            cache.store(params, sector, KIND_MID_COEFFS, made_mid)
-        if cache is not None and tail is None:
-            cache.store(params, sector, KIND_TAIL_WEIGHTS, made_tail, tail_width=DEFAULT_TAIL_WIDTH)
-        mid, tail = made_mid, made_tail
+        if make_mid:
+            try:
+                mid = collect_coefficients(ds).values
+            except EmptyWindow:
+                mid = np.zeros(0)  # what an empty mid window stores
+            if cache is not None:
+                cache.store(params, sector, KIND_MID_COEFFS, mid)
+        if tail is None:
+            tail = tail_weights(ds, DEFAULT_TAIL_WIDTH)
+            if cache is not None:
+                cache.store(params, sector, KIND_TAIL_WEIGHTS, tail, tail_width=DEFAULT_TAIL_WIDTH)
     if want_vectors and hist is None:
         hist = (CoefficientHistogram.of(CoefficientSample.pool(mid, energies.size), bins).payload
                 if mid.size else np.zeros(0))
@@ -314,9 +312,10 @@ def compute_point(params: ModelParams, fit_degree: int = DEFAULT_FIT_DEGREE,
 def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
     """Run the full grid and return rows ordered (kappa asc, lambda asc).
 
-    Every row is :func:`compute_point`.  A point whose energies, mid-window
-    coefficients and tail weights are all on disk is computed in this process (a
-    corrupt entry among them, or a missing histogram, is remade and written here);
+    Every row is :func:`compute_point`.  A point whose energies and tail weights
+    are on disk, and either its coefficient histogram at ``config.bins`` or the
+    mid-window coefficients it is made from, is computed in this process (a corrupt
+    entry it reads, or a missing histogram, is remade and written here);
     the rest go to a pool of ``min(workers, misses)`` spawned processes, so an
     all-hit grid starts none, and each solved row returns to its miss's place.  This
     process solves in a thread per core, each worker in ``max(1, cores // pool size)``
@@ -329,9 +328,11 @@ def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
     point = partial(compute_point, fit_degree=config.fit_degree, bins=config.bins, cache=cache)
 
     def on_disk(params: ModelParams) -> bool:
-        return cache is not None and all(
-            cache.path(params, Parity.EVEN, kind, DEFAULT_TAIL_WIDTH).exists()
-            for kind in (KIND_ENERGIES, KIND_MID_COEFFS, KIND_TAIL_WEIGHTS))
+        def exists(kind: str) -> bool:
+            return cache.path(params, Parity.EVEN, kind, DEFAULT_TAIL_WIDTH, config.bins).exists()
+
+        return cache is not None and exists(KIND_ENERGIES) and exists(KIND_TAIL_WEIGHTS) and (
+            exists(KIND_MID_HISTOGRAM) or exists(KIND_MID_COEFFS))
 
     rows = [point(params) if on_disk(params) else None for params in points]
     misses = [params for params, row in zip(points, rows) if row is None]

@@ -304,6 +304,22 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("creatable", [False, True], ids=["uncreatable", "creatable"])
+    def test_boundary_opens_no_cache(self, config_path, tmp_path, monkeypatch, creatable):
+        """boundary reads only sweep.csv: it neither needs nor makes a cache directory."""
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        cache_dir = tmp_path / "cache" if creatable else blocker / "cache"
+        monkeypatch.setenv("DICKE_CHAOS_CACHE_DIR", str(cache_dir))
+        out = tmp_path / "out"
+        out.mkdir()
+        write_csv([SweepResultRow(kappa=kappa, lambda_=lam)
+                   for kappa in (0.0, 0.5) for lam in (0.3, 0.8)], out / "sweep.csv")
+        assert main(["boundary", "--config", str(config_path)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a_file", "config.json", "out"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "boundary_beta.csv", "boundary_eta.csv", "boundary_mean_r.csv", "sweep.csv"]
+
     def test_interrupt_exits_130_without_traceback(self, config_path, capsys, monkeypatch):
         def interrupted(config, cache):
             raise KeyboardInterrupt

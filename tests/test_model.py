@@ -1,5 +1,6 @@
 """Basis enumeration, matrix elements and Hamiltonian assembly."""
 
+import math
 from collections import namedtuple
 
 import numpy as np
@@ -56,6 +57,17 @@ class TestModelParams:
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["omega", "omega0", "lambda_", "kappa", "j", "n_cutoff"])
+    def test_non_finite_rejected_by_name(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            ModelParams(**{name: value})
+
+    def test_integral_float_cutoff_is_stored_as_int(self):
+        p = ModelParams(j=3.0, n_cutoff=20.0, lambda_=0.5)
+        assert type(p.n_cutoff) is int and p == ModelParams(j=3.0, n_cutoff=20, lambda_=0.5)
+        assert build_hamiltonian(p, Parity.EVEN).dim == 74
 
     def test_zero_cutoff_allowed(self):
         # the two-label toy case lives at n_cutoff = 0

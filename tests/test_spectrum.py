@@ -599,6 +599,8 @@ class TestSpectrumCache:
     @pytest.mark.parametrize("damage", ["none", "missing", "truncated", "bad magic",
                                         "mangled key"])
     def test_check_is_true_exactly_where_load_returns_an_array(self, tmp_path, damage):
+        """``load`` returns the stored array only for a whole entry: a missing one is
+        None, and every other damage raises CacheFormatError naming the file."""
         cache = SpectrumCache(tmp_path)
         p = ModelParams(j=1.0, n_cutoff=8)
         cache.store(p, Parity.EVEN, KIND_ENERGIES, np.array([1.0, 2.0]))
@@ -609,11 +611,13 @@ class TestSpectrumCache:
         elif damage != "none":
             path.write_bytes({"truncated": blob[:-8], "bad magic": b"NOTMAGIC" + blob[8:],
                               "mangled key": blob[:16] + b"\xff" + blob[17:]}[damage])
-        try:
-            loaded = cache.load(p, Parity.EVEN, KIND_ENERGIES) is not None
-        except CacheFormatError:
-            loaded = False
-        assert cache.check(p, Parity.EVEN, KIND_ENERGIES) == loaded == (damage == "none")
+        if damage == "none":
+            assert cache.load(p, Parity.EVEN, KIND_ENERGIES).tobytes() == blob[-16:]
+        elif damage == "missing":
+            assert cache.load(p, Parity.EVEN, KIND_ENERGIES) is None
+        else:
+            with pytest.raises(CacheFormatError, match=path.name):
+                cache.load(p, Parity.EVEN, KIND_ENERGIES)
 
     def test_failed_store_leaves_no_temporary_file(self, tmp_path, monkeypatch):
         def refuse(src, dst):

@@ -31,9 +31,11 @@ from dicke_chaos import (
     write_csv,
     write_histogram,
 )
-from dicke_chaos.cache import KIND_ENERGIES, KIND_MID_COEFFS
+from dicke_chaos.cache import KIND_ENERGIES, KIND_MID_COEFFS, KIND_MID_HISTOGRAM, KIND_TAIL_WEIGHTS
 from dicke_chaos.cli import main
+from dicke_chaos.eigenstate_stats import DEFAULT_BINS
 from dicke_chaos.errors import UsageError
+from dicke_chaos.spectrum import DEFAULT_TAIL_WIDTH
 from dicke_chaos.sweep import (
     CSV_HEADER,
     check_grids,
@@ -172,7 +174,7 @@ class TestRunSweep:
 
 
 class TestCacheHitsInParent:
-    """A sweep computes the points whose entries are all on disk itself and spawns
+    """A sweep computes the points whose needed entries are on disk itself and spawns
     workers only for the rest."""
 
     def test_bytes_independent_of_workers_and_cache_warmth(self, tmp_path):
@@ -253,12 +255,14 @@ class TestCacheHitsInParent:
 
     @pytest.mark.parametrize("kind, corruption", [(KIND_ENERGIES, "truncated"),
                                                   (KIND_ENERGIES, "mangled key"),
+                                                  (KIND_TAIL_WEIGHTS, "truncated"),
                                                   (KIND_MID_COEFFS, "truncated")],
-                             ids=["truncated", "mangled key", "mid_coeffs"])
+                             ids=["truncated", "mangled key", "tail_weights", "mid_coeffs"])
     def test_corrupt_entry_is_a_miss_and_its_solve_rewrites_it(self, tmp_path, monkeypatch,
                                                                kind, corruption):
-        """A corrupt payload is remade and rewritten by the sweep's own process; a corrupt
-        vector payload is remade from the cached eigenvalues, whose entry stays as it is."""
+        """A corrupt payload a run reads is remade and rewritten by the sweep's own process,
+        and no other entry of its point is rewritten.  A warm sweep never reads the pooled
+        components, so a corrupt components entry stays until a sweep at new bins heals it."""
         cache_dir = fill_cache(tmp_path / "cache", GRID)
         config = sweep_config_file(tmp_path, cache_dir, workers=2)
         args = ["sweep", "--config", str(config), "--out"]
@@ -267,15 +271,18 @@ class TestCacheHitsInParent:
 
         cache = SpectrumCache(cache_dir)
         bad = replace(BASE, kappa=0.7, lambda_=0.2)
-        payload = cache.load(bad, Parity.EVEN, kind)
-        path = cache.path(bad, Parity.EVEN, kind)
-        energies_entry = cache.path(bad, Parity.EVEN, KIND_ENERGIES)
-        energies_inode = energies_entry.stat().st_ino
+        payload = cache.load(bad, Parity.EVEN, kind, tail_width=DEFAULT_TAIL_WIDTH)
+        path = cache.path(bad, Parity.EVEN, kind, tail_width=DEFAULT_TAIL_WIDTH)
+        others = [cache.path(bad, Parity.EVEN, other, DEFAULT_TAIL_WIDTH, DEFAULT_BINS)
+                  for other in (KIND_ENERGIES, KIND_TAIL_WEIGHTS, KIND_MID_COEFFS,
+                                KIND_MID_HISTOGRAM) if other != kind]
+        kept = [(other.stat().st_ino, other.read_bytes()) for other in others]
         blob = path.read_bytes()
-        path.write_bytes({
+        damaged = {
             "truncated": blob[:-8],
             "mangled key": blob[:16] + b"\xff" + blob[17:],  # not UTF-8
-        }[corruption])
+        }[corruption]
+        path.write_bytes(damaged)
 
         def no_processes(*args, **kwargs):
             raise AssertionError("a sweep with every entry on disk started a process")
@@ -286,11 +293,58 @@ class TestCacheHitsInParent:
         assert main([*args, str(out)]) == 0
         assert (out / "sweep.csv").read_bytes() == clean
         assert not (out / "sweep_errors.json").exists()
-        assert np.array_equal(cache.load(bad, Parity.EVEN, kind), payload)
-        if kind != KIND_ENERGIES:
-            assert energies_entry.stat().st_ino == energies_inode
+        if kind == KIND_MID_COEFFS:  # read only to make a histogram at new bins
+            assert path.read_bytes() == damaged
+            assert main([*args, str(tmp_path / "bins57"), "--set", "bins=57"]) == 0
+        assert np.array_equal(cache.load(bad, Parity.EVEN, kind, tail_width=DEFAULT_TAIL_WIDTH),
+                              payload)
+        assert [(other.stat().st_ino, other.read_bytes()) for other in others] == kept
         assert main([*args, str(tmp_path / "rerun")]) == 0
         assert (tmp_path / "rerun" / "sweep.csv").read_bytes() == clean
+
+    def test_cache_without_pooled_components_stays_warm(self, tmp_path, monkeypatch):
+        """A point's pooled components are read only to make a histogram at new bins:
+        with every components entry deleted, a warm sweep at the cached bins solves
+        nothing and writes nothing, and the next sweep at new bins remakes them."""
+        cache_dir = fill_cache(tmp_path / "cache", GRID)
+        config = sweep_config_file(tmp_path, cache_dir, workers=2)
+        args = ["sweep", "--config", str(config), "--out"]
+        assert main([*args, str(tmp_path / "clean")]) == 0
+        cache = SpectrumCache(cache_dir)
+        components = [cache.path(replace(BASE, kappa=kappa, lambda_=lam), Parity.EVEN,
+                                 KIND_MID_COEFFS) for kappa, lam in GRID]
+        blobs = [path.read_bytes() for path in components]
+        for path in components:
+            path.unlink()
+        left = {path.name: (path.stat().st_ino, path.read_bytes())
+                for path in cache_dir.iterdir()}
+
+        def no_processes(*args, **kwargs):
+            raise AssertionError("a warm sweep started a process")
+
+        solves = []
+
+        def no_solve(*args, **kwargs):
+            solves.append(args)
+            raise AssertionError("a warm sweep solved for eigenvectors")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(multiprocessing, "get_context", no_processes)
+            patched.setattr(dicke_chaos.sweep, "windowed_eigenvectors", no_solve)
+            assert main([*args, str(tmp_path / "warm")]) == 0
+        assert solves == []
+        assert (tmp_path / "warm" / "sweep.csv").read_bytes() == (
+            tmp_path / "clean" / "sweep.csv").read_bytes()
+        assert {path.name: (path.stat().st_ino, path.read_bytes())
+                for path in cache_dir.iterdir()} == left
+
+        bins = ["--set", "bins=57"]
+        assert main([*args, str(tmp_path / "bins_warm"), *bins]) == 0
+        assert main([*args, str(tmp_path / "bins_cold"), *bins,
+                     "--set", f"cache_dir={tmp_path / 'cold_cache'}"]) == 0
+        assert (tmp_path / "bins_warm" / "sweep.csv").read_bytes() == (
+            tmp_path / "bins_cold" / "sweep.csv").read_bytes()
+        assert [path.read_bytes() for path in components] == blobs
 
     def test_killed_worker_fails_the_sweep_instead_of_hanging(self, tmp_path):
         """A worker that dies mid-point breaks the pool: the sweep exits 2 at once.
@@ -482,6 +536,16 @@ class TestConfig:
     def test_descending_grid_rejected(self, tmp_path):
         with pytest.raises(UsageError):
             check_grids(read_doc(tmp_path, {"kappa_grid": [0.5, 0.0], "lambda_grid": [0.1]}))
+
+    @pytest.mark.parametrize("grids, message", [
+        (dict(kappa_grid=(0.0, math.inf), lambda_grid=(0.1,)), "kappa_grid: kappa must be finite"),
+        (dict(kappa_grid=(0.0,), lambda_grid=(0.1, math.nan, 0.3)),
+         "lambda_grid: lambda_ must be finite"),
+    ], ids=["inf kappa", "nan lambda"])
+    def test_every_grid_value_is_checked(self, grids, message):
+        """A run_sweep point is never a ModelParams the config could not make."""
+        with pytest.raises(ValueError, match=message):
+            SweepConfig(base=BASE, **grids)
 
     @pytest.mark.parametrize("key, value", [("bins", 5), ("fit_degree", -1)])
     def test_bad_bins_or_fit_degree_rejected(self, tmp_path, key, value):
