@@ -10,16 +10,16 @@ File layout (all integers little-endian):
     ...       float64 array, little-endian
 
 A point has one eigenvalue entry (``KIND_ENERGIES``), which every command reads
-and writes; a point with vectors adds its pooled mid-window coefficients, its
-tail weights and, per bin count, those coefficients' histogram
+and writes; a point with vectors adds its tail weights, its pooled mid-window
+coefficients and, per bin count, those coefficients' histogram
 (``[n_states, c_min, c_max, counts...]``), which is all a warm D_KL reads of them.
-The coefficients are read only to make a histogram at a new bin count; deleting
-their entries costs a vector solve when one is made.  Each entry is written whole
+One rule governs every entry: a run reads each payload it needs, and only when the
+entry is missing or malformed (CacheFormatError on load: truncated, or with a
+mangled key, say) makes the payload and stores it, replacing the bad entry.  So
+the coefficients are read only to make a missing histogram, and deleting their
+entries costs a vector solve only when one is made.  Each entry is written whole
 to a temporary file and moved into place by an atomic rename, so concurrent sweep
-workers can share one directory and a reader never sees a partial write.  A
-malformed entry (truncated, or with a mangled key, say) raises CacheFormatError
-on load; the run that reads it treats it as a miss and remakes it (a histogram
-from the cached coefficients, the rest by a solve), and the rewrite replaces it.
+workers can share one directory and a reader never sees a partial write.
 """
 
 from __future__ import annotations

@@ -182,7 +182,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         overrides = [_override(pair) for pair in args.set]
-        if args.out:
+        if args.out is not None:
             overrides.append(("output_dir", args.out))
         if args.workers is not None:
             overrides.append(("workers", args.workers))

@@ -23,7 +23,7 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cache as memoize, partial  # `cache` is a SpectrumCache parameter
 from pathlib import Path
 from typing import Mapping, Sequence, get_type_hints
 
@@ -159,73 +159,63 @@ class PointData:
         return self.energies[self.window_indices]
 
 
-def _load(cache: SpectrumCache | None, params: ModelParams, kind: str,
-          bins: int | None = None) -> np.ndarray | None:
-    """One cached payload, or None without a cache or entry, or for a corrupt entry,
-    which is then remade and rewritten."""
-    if cache is None:
-        return None
-    try:
-        return cache.load(params, Parity.EVEN, kind, tail_width=DEFAULT_TAIL_WIDTH, bins=bins)
-    except CacheFormatError:
-        return None
-
-
 def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
                        want_vectors: bool = True, bins: int = DEFAULT_BINS,
                        threads: int | None = None) -> PointData:
     """Obtain the spectrum (and, if wanted, eigenvector summaries) for one point.
 
-    Each payload is read from the cache by :func:`_load`, or made and stored; an
-    entry this run did not read, or read well-formed, is never rewritten.  The pooled
-    mid-window coefficients are read only to make a missing histogram in ``bins``
-    bins.  Only a missing eigenvalue or tail payload, or missing coefficients that a
-    histogram needs, build the even-parity block: its band solve gives the
-    eigenvalues, stored at once, and :func:`windowed_eigenvectors` on them, cached or
-    fresh, the analysis-window vectors the missing payloads are made from, in
-    ``threads`` threads (default: every available core).  No D x D matrix is made.
-    Cached payloads are exact float64 copies, so a warm run reproduces a cold run
-    bit for bit; empty windows store empty arrays.
+    One rule for every payload: read its cache entry; if that is missing or
+    malformed, make the payload and store it.  Payloads are made only when read, so
+    the pooled mid-window coefficients are read only to make a missing histogram in
+    ``bins`` bins, and solved only when both are missing.  The even-parity block is
+    built at most once, for a missing payload that needs it.  Its band solve gives the
+    eigenvalues, stored before :func:`windowed_eigenvectors` solves the window's
+    vectors from them, cached or fresh, in ``threads`` threads (default: every
+    available core), making no D x D matrix.  Cached payloads are exact float64 copies,
+    so a warm run reproduces a cold run bit for bit; empty windows store empty arrays.
     """
     sector = Parity.EVEN
-    energies = _load(cache, params, KIND_ENERGIES)
-    mid = tail = hist = None
-    if want_vectors:
-        tail = _load(cache, params, KIND_TAIL_WEIGHTS)
-        hist = _load(cache, params, KIND_MID_HISTOGRAM, bins)
-        if hist is None:
-            mid = _load(cache, params, KIND_MID_COEFFS)
-    make_mid = want_vectors and hist is None and mid is None
-    make_vectors = want_vectors and (tail is None or make_mid)
-    if energies is None or make_vectors:
-        h = build_hamiltonian(params, sector)
-    if energies is None:
-        energies = diagonalize(h).energies
+
+    def cached(kind: str, make) -> np.ndarray:
+        values = None
         if cache is not None:
-            cache.store(params, sector, KIND_ENERGIES, energies)
-    window = np.nonzero(_window_mask(energies, params.n_atoms, params.energy_window))[0]
-    if make_vectors:
-        ds = SpectralDataset(params, energies[window],
-                             windowed_eigenvectors(h.band, energies, window, threads),
-                             window, h.basis)
-        if make_mid:
             try:
-                mid = collect_coefficients(ds).values
-            except EmptyWindow:
-                mid = np.zeros(0)  # what an empty mid window stores
+                values = cache.load(params, sector, kind, DEFAULT_TAIL_WIDTH, bins)
+            except CacheFormatError:
+                pass  # a malformed entry is a miss; the store below replaces it
+        if values is None:
+            values = make()
             if cache is not None:
-                cache.store(params, sector, KIND_MID_COEFFS, mid)
-        if tail is None:
-            tail = tail_weights(ds, DEFAULT_TAIL_WIDTH)
-            if cache is not None:
-                cache.store(params, sector, KIND_TAIL_WEIGHTS, tail, tail_width=DEFAULT_TAIL_WIDTH)
-    if want_vectors and hist is None:
-        hist = (CoefficientHistogram.of(CoefficientSample.pool(mid, energies.size), bins).payload
+                cache.store(params, sector, kind, values, DEFAULT_TAIL_WIDTH, bins)
+        return values
+
+    hamiltonian = memoize(lambda: build_hamiltonian(params, sector))
+    energies = cached(KIND_ENERGIES, lambda: diagonalize(hamiltonian()).energies)
+    window = np.nonzero(_window_mask(energies, params.n_atoms, params.energy_window))[0]
+    if not want_vectors:
+        return PointData(energies, window, None, None)
+
+    @memoize
+    def dataset() -> SpectralDataset:
+        h = hamiltonian()
+        return SpectralDataset(params, energies[window],
+                               windowed_eigenvectors(h.band, energies, window, threads),
+                               window, h.basis)
+
+    def mid_coeffs() -> np.ndarray:
+        try:
+            return collect_coefficients(dataset()).values
+        except EmptyWindow:
+            return np.zeros(0)  # what an empty mid window stores
+
+    def histogram() -> np.ndarray:
+        mid = cached(KIND_MID_COEFFS, mid_coeffs)
+        return (CoefficientHistogram.of(CoefficientSample.pool(mid, energies.size), bins).payload
                 if mid.size else np.zeros(0))
-        if cache is not None:
-            cache.store(params, sector, KIND_MID_HISTOGRAM, hist, bins=bins)
-    coefficients = (CoefficientHistogram.from_payload(hist, energies.size)
-                    if hist is not None and hist.size else None)
+
+    tail = cached(KIND_TAIL_WEIGHTS, lambda: tail_weights(dataset(), DEFAULT_TAIL_WIDTH))
+    hist = cached(KIND_MID_HISTOGRAM, histogram)
+    coefficients = CoefficientHistogram.from_payload(hist, energies.size) if hist.size else None
     return PointData(energies, window, tail, coefficients)
 
 
@@ -472,7 +462,7 @@ def _numbers(value, length: int | None = None) -> tuple[float, ...]:
 
 
 def _path(value) -> Path:
-    if not isinstance(value, str):
+    if not isinstance(value, str) or not value:  # "" would name the working directory
         raise TypeError(f"expected a path string, got {value!r}")
     return Path(value)
 

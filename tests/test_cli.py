@@ -295,6 +295,18 @@ class TestExitCodes:
         out = tmp_path / "out"
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("spelling", [["--out", ""], ["--set", "output_dir="]],
+                             ids=["out flag", "set"])
+    def test_empty_output_dir_is_usage_error(self, config_path, tmp_path, monkeypatch, capsys,
+                                             spelling):
+        """An empty output directory (``--out "$OUT"`` with OUT unset, say) is refused, not
+        read as the config's output_dir or as the working directory."""
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("DICKE_CHAOS_CACHE_DIR", raising=False)
+        assert main(["spacing", "--config", str(config_path), *spelling]) == 1
+        assert "config key output_dir: expected a path string, got ''" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     def test_unusable_cache_dir_is_usage_error(self, config_path, tmp_path, capsys):
         blocker = tmp_path / "a_file"
         blocker.write_text("")

@@ -1,8 +1,11 @@
 """One point pipeline: the sweep's point data agrees with the library route."""
 
+import contextlib
+import itertools
 import json
 import math
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from dicke_chaos import (
     ModelParams,
     Parity,
     SpectrumCache,
+    SweepConfig,
     build_hamiltonian,
     build_histogram,
     collect_coefficients,
@@ -20,13 +24,15 @@ from dicke_chaos import (
     diagonalize,
     filter_energy_window,
     kl_divergence,
+    run_sweep,
     windowed_eigenvectors,
 )
 from dicke_chaos.cache import (KIND_ENERGIES, KIND_MID_COEFFS, KIND_MID_HISTOGRAM,
                                KIND_TAIL_WEIGHTS)
 from dicke_chaos.cli import main
 from dicke_chaos.eigenstate_stats import DEFAULT_BINS
-from dicke_chaos.spectrum import DEFAULT_TAIL_TOL, tail_weights
+from dicke_chaos.errors import ConvergenceFailure
+from dicke_chaos.spectrum import DEFAULT_TAIL_TOL, DEFAULT_TAIL_WIDTH, tail_weights
 from dicke_chaos.sweep import compute_point_data
 
 from histogram_io import read_histogram
@@ -339,3 +345,110 @@ def test_truncated_histogram_is_remade_from_the_cached_components(tmp_path, monk
     monkeypatch.setattr(sweep, "build_hamiltonian", no_solve)
     assert compute_point(params, cache=cache) == cold
     assert entry.read_bytes() == blob
+
+
+KINDS = (KIND_ENERGIES, KIND_TAIL_WEIGHTS, KIND_MID_COEFFS, KIND_MID_HISTOGRAM)
+DAMAGE = ([("deleted", kinds) for n in range(len(KINDS) + 1)
+           for kinds in itertools.combinations(KINDS, n)]
+          + [("truncated", (kind,)) for kind in KINDS])
+
+
+@pytest.fixture(scope="module")
+def warm_point(tmp_path_factory):
+    """A chaotic j = 6 point: its warm cache directory, uncached data and uncached row."""
+    params = ModelParams(j=6.0, n_cutoff=80, lambda_=0.9, kappa=0.7)
+    root = tmp_path_factory.mktemp("warm")
+    compute_point_data(params, SpectrumCache(root))
+    row = compute_point(params)
+    assert row.error is None and len(list(root.iterdir())) == len(KINDS)
+    return params, root, compute_point_data(params), row
+
+
+def entries(root):
+    return {p.name: (p.stat().st_ino, p.read_bytes()) for p in root.iterdir()}
+
+
+@pytest.mark.parametrize("how, kinds", DAMAGE,
+                         ids=[f"{how}-{'+'.join(kinds) or 'none'}" for how, kinds in DAMAGE])
+def test_each_payload_is_read_or_made_by_one_rule(tmp_path, monkeypatch, warm_point, how, kinds):
+    """Over every partial cache: a payload is read if its entry is sound, else made and
+    stored; the components are read only for a missing histogram and solved only when
+    both are gone; H is built, and the vectors solved, at most once and only for a
+    payload that needs them; and run_sweep starts a pool exactly when a deleted entry
+    needs H built."""
+    params, warm, uncached, uncached_row = warm_point
+    original = {name: blob for name, (_, blob) in entries(warm).items()}
+    caches = [SpectrumCache(shutil.copytree(warm, tmp_path / name)) for name in ("point", "sweep")]
+    for cache, kind in itertools.product(caches, kinds):
+        entry = cache.path(params, Parity.EVEN, kind, DEFAULT_TAIL_WIDTH, DEFAULT_BINS)
+        if how == "deleted":
+            entry.unlink()
+        else:
+            entry.write_bytes(entry.read_bytes()[:-8])
+    missing = set(kinds)
+    solve = KIND_ENERGIES in missing
+    vectors = KIND_TAIL_WEIGHTS in missing or {KIND_MID_COEFFS, KIND_MID_HISTOGRAM} <= missing
+    remade = {caches[0].path(params, Parity.EVEN, kind, DEFAULT_TAIL_WIDTH, DEFAULT_BINS).name
+              for kind in missing
+              if kind != KIND_MID_COEFFS or KIND_MID_HISTOGRAM in missing}
+    calls = dict.fromkeys(("diagonalize", "build_hamiltonian", "windowed_eigenvectors"), 0)
+    for name in calls:
+        def spy(*args, _name=name, _real=getattr(sweep, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(sweep, name, spy)
+    before = entries(caches[0].root)
+    data = compute_point_data(params, caches[0])
+    assert calls == {"diagonalize": int(solve), "build_hamiltonian": int(solve or vectors),
+                     "windowed_eigenvectors": int(vectors)}
+    for field in ("energies", "window_indices", "tail"):
+        assert np.array_equal(getattr(data, field), getattr(uncached, field))
+    assert np.array_equal(data.coefficients.payload, uncached.coefficients.payload)
+    assert data.coefficients.dim == uncached.coefficients.dim
+    after = entries(caches[0].root)
+    assert set(after) == set(before) | remade
+    for name, (inode, blob) in after.items():
+        assert blob == original[name] if name in remade else (inode, blob) == before[name]
+
+    pools = []
+
+    class InlineExecutor(contextlib.nullcontext):
+        def __init__(self, max_workers, mp_context):
+            pools.append(max_workers)
+            super().__init__(self)
+
+        def map(self, fn, misses):
+            return map(fn, misses)
+
+    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlineExecutor)
+    config = SweepConfig(base=params, kappa_grid=(params.kappa,), lambda_grid=(params.lambda_,),
+                         cache_dir=caches[1].root)
+    assert run_sweep(config) == [uncached_row]
+    # a truncated entry is on disk, so its point is healed in the sweep's own process
+    assert pools == ([1] if (solve or vectors) and how == "deleted" else [])
+
+
+def test_eigenvalues_are_stored_before_the_vector_solve(tmp_path, monkeypatch):
+    """A point whose vector solve fails keeps its eigenvalue entry, so a rerun (a killed
+    sweep resumed, say) solves only the vectors and writes the clean row."""
+    params = ModelParams(j=6.0, n_cutoff=80, lambda_=0.9, kappa=0.7)
+    clean = compute_point(params)
+    cache = SpectrumCache(tmp_path)
+
+    def no_convergence(*args, **kwargs):
+        raise ConvergenceFailure("inverse iteration did not converge for state 0")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "windowed_eigenvectors", no_convergence)
+        failed = compute_point(params, cache=cache)
+    assert failed.error == "ConvergenceFailure: inverse iteration did not converge for state 0"
+    assert failed.dim == 0 and math.isnan(failed.eta)
+    assert [p.name for p in tmp_path.iterdir()] == [
+        cache.path(params, Parity.EVEN, KIND_ENERGIES).name]
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the rerun solved the eigenvalues again")
+
+    monkeypatch.setattr(sweep, "diagonalize", no_solve)
+    assert compute_point(params, cache=cache) == clean
