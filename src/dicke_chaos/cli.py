@@ -12,12 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
 from .cache import SpectrumCache
-from .eigenstate_stats import build_histogram, coefficient_stats
+from .eigenstate_stats import binned_kl_divergence, build_histogram
 from .errors import EmptyWindow, NonRectangularGrid, UsageError
 from .spectral_stats import split_degenerate
 from .sweep import (
@@ -73,10 +72,9 @@ def _override(pair: str) -> tuple[str, object]:
 
 
 def _write_point_histogram(config: SweepConfig, kind: str, hist, meta: dict) -> list[Path]:
-    """Write one point's histogram; its meta leads with kappa and lambda, NaN becomes null."""
+    """Write one point's histogram; its meta leads with kappa and lambda."""
     params = config.base
     meta = {"kappa": params.kappa, "lambda": params.lambda_, **meta}
-    meta = {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in meta.items()}
     path = config.output_dir / f"{histogram_name(kind, params.kappa, params.lambda_)}.json"
     write_histogram(hist, path, meta)
     return [path]
@@ -129,10 +127,9 @@ def cmd_eigstats(config: SweepConfig, cache) -> list[Path]:
     coeffs = compute_point_data(config.base, cache, bins=config.bins).coefficients
     if coeffs is None:
         raise EmptyWindow("no eigenstate inside the mid-spectrum window")
-    d_kl, hist = coefficient_stats(coeffs)
-    return _write_point_histogram(config, "coeff", hist, {
-        "d_kl": d_kl, "dim": coeffs.dim, "n_states": coeffs.n_states,
-        "c_min": coeffs.c_min, "c_max": coeffs.c_max,
+    return _write_point_histogram(config, "coeff", coeffs, {
+        "d_kl": binned_kl_divergence(coeffs), "dim": coeffs.dim, "n_states": coeffs.n_states,
+        "c_min": coeffs.lo, "c_max": coeffs.hi,
     })
 
 

@@ -4,8 +4,9 @@ Eigenstates of a chaotic real symmetric Hamiltonian behave like GOE
 eigenvectors, whose components in any fixed basis are asymptotically Gaussian
 with zero mean and variance 1/D.  The Kullback-Leibler divergence between the
 pooled empirical coefficient distribution of mid-spectrum states and that
-Gaussian quantifies the distance from full chaos.  ``scipy.special`` (the
-Gaussian CDF) is imported at the first :func:`kl_divergence`, not with the module.
+Gaussian quantifies the distance from full chaos.  P(s), P(r) and P(c) are each a
+:class:`Histogram`, bin counts from which the edges and densities derive.
+``scipy.special`` (the Gaussian CDF) is imported at the first D_KL, not with the module.
 """
 
 from __future__ import annotations
@@ -26,15 +27,26 @@ MIN_SPAN = 1e-12
 
 @dataclass(frozen=True)
 class Histogram:
-    """Equal-width histogram with per-bin normalized density and raw counts."""
+    """Counts in equal-width bins over [lo, hi]; the edges and densities derive from them."""
 
-    edges: np.ndarray
-    densities: np.ndarray
     counts: np.ndarray
+    lo: float
+    hi: float
+
+    @property
+    def edges(self) -> np.ndarray:
+        """np.histogram's own edges for this range: stored and fresh counts give the same bits."""
+        return np.histogram_bin_edges(np.empty(0), self.counts.size, (self.lo, self.hi))
+
+    @property
+    def densities(self) -> np.ndarray:
+        """Per-bin densities, normalized so that sum(density * width) = 1; zeros without counts."""
+        total = self.counts.sum()
+        return self.counts / (total * np.diff(self.edges)) if total else np.zeros(self.counts.size)
 
 
 def build_histogram(values, bins: int, value_range: tuple[float, float] | None = None) -> Histogram:
-    """Histogram with densities normalized so that sum(density * width) = 1.
+    """np.histogram of the values, over ``value_range`` or else the values' own span.
 
     An empty sample needs an explicit range and yields all-zero densities.
     """
@@ -42,13 +54,7 @@ def build_histogram(values, bins: int, value_range: tuple[float, float] | None =
     if v.size == 0 and value_range is None:
         raise EmptySample("cannot infer a histogram range from an empty sample")
     counts, edges = np.histogram(v, bins=bins, range=value_range)
-    total = counts.sum()
-    widths = np.diff(edges)
-    if total > 0:
-        densities = counts / (total * widths)
-    else:
-        densities = np.zeros_like(widths)
-    return Histogram(edges=edges, densities=densities, counts=counts)
+    return Histogram(counts, float(edges[0]), float(edges[-1]))
 
 
 @dataclass(frozen=True)
@@ -68,14 +74,11 @@ class CoefficientSample:
 
 
 @dataclass(frozen=True)
-class CoefficientHistogram:
-    """A sample's counts in equal-width bins over [c_min, c_max]: all D_KL and P(c) read."""
+class CoefficientHistogram(Histogram):
+    """A sample's counts over [lo, hi] = [c_min, c_max]: all D_KL and P(c) read."""
 
-    counts: np.ndarray
     dim: int
     n_states: int
-    c_min: float
-    c_max: float
 
     @classmethod
     def of(cls, sample: CoefficientSample, bins: int) -> CoefficientHistogram:
@@ -86,15 +89,15 @@ class CoefficientHistogram:
         span = (sample.c_min, sample.c_max)
         counts = (np.histogram(sample.values, bins, span)[0] if span[1] - span[0] >= MIN_SPAN
                   else np.zeros(bins))
-        return cls(counts, sample.dim, sample.n_states, *span)
+        return cls(counts, *span, sample.dim, sample.n_states)
 
     @classmethod
     def from_payload(cls, payload: np.ndarray, dim: int) -> CoefficientHistogram:
-        return cls(payload[3:], dim, int(payload[0]), float(payload[1]), float(payload[2]))
+        return cls(payload[3:], float(payload[1]), float(payload[2]), dim, int(payload[0]))
 
     @property
     def payload(self) -> np.ndarray:  # the mid_histogram cache entry
-        return np.concatenate(([self.n_states, self.c_min, self.c_max], self.counts))
+        return np.concatenate(([self.n_states, self.lo, self.hi], self.counts))
 
 
 def collect_coefficients(ds: SpectralDataset) -> CoefficientSample:
@@ -129,35 +132,23 @@ def goe_coefficient_pdf(c, dim: int):
 def _log_gaussian_bin_masses(edges: np.ndarray, dim: int) -> np.ndarray:
     """ln of the GOE-Gaussian probability mass per bin, stable in far tails.
 
-    Direct CDF differences underflow once |c| sqrt(D) exceeds ~38, so bins that
-    lie entirely in one tail are evaluated through the log CDF instead, using
-    ln sf(z) = ln cdf(-z) for the upper tail.
+    Direct CDF differences underflow once |c| sqrt(D) exceeds ~38, so a bin that
+    lies entirely in one tail is evaluated through the log CDF instead.  An
+    upper-tail bin [z_lo, z_hi] has the mass of the lower-tail bin [-z_hi, -z_lo],
+    so each bin becomes [a, b], and it lies in a tail exactly when b <= 0.
     """
     from scipy.special import log_ndtr, ndtr
     z = edges * np.sqrt(float(dim))
     z_lo, z_hi = z[:-1], z[1:]
-    out = np.empty(z_lo.size)
-
     upper = z_lo >= 0.0
-    lower = z_hi <= 0.0
-    middle = ~(upper | lower)
-
+    a, b = np.where(upper, -z_hi, z_lo), np.where(upper, -z_lo, z_hi)
     with np.errstate(divide="ignore"):
-        if upper.any():
-            la = log_ndtr(-z_lo[upper])
-            lb = log_ndtr(-z_hi[upper])
-            out[upper] = la + np.log1p(-np.exp(lb - la))
-        if lower.any():
-            la = log_ndtr(z_lo[lower])
-            lb = log_ndtr(z_hi[lower])
-            out[lower] = lb + np.log1p(-np.exp(la - lb))
-        if middle.any():
-            out[middle] = np.log(ndtr(z_hi[middle]) - ndtr(z_lo[middle]))
-    return out
+        la, lb = log_ndtr(a), log_ndtr(b)
+        return np.where(b <= 0.0, lb + np.log1p(-np.exp(la - lb)), np.log(ndtr(b) - ndtr(a)))
 
 
-def coefficient_stats(hist: CoefficientHistogram) -> tuple[float, Histogram]:
-    """D_KL of binned coefficients from GOE, and their P(c) histogram.
+def binned_kl_divergence(hist: CoefficientHistogram) -> float:
+    """D_KL of binned coefficients from GOE.
 
     The reference mass per bin is integrated exactly from the Gaussian CDF.  With
     p_i the empirical and q_i the reference bin mass,
@@ -172,21 +163,17 @@ def coefficient_stats(hist: CoefficientHistogram) -> tuple[float, Histogram]:
     DegenerateRange
         If c_max - c_min is below 1e-12.
     """
-    if hist.c_max - hist.c_min < MIN_SPAN:
+    if hist.hi - hist.lo < MIN_SPAN:
         raise DegenerateRange("coefficient range collapsed to a point")
-    # np.histogram's own edges: cached and fresh counts give the same bits
-    edges = np.histogram_bin_edges(np.empty(0), hist.counts.size, (hist.c_min, hist.c_max))
-    total = hist.counts.sum()
-    p = hist.counts / total
-    log_q = _log_gaussian_bin_masses(edges, hist.dim)
+    p = hist.counts / hist.counts.sum()
+    log_q = _log_gaussian_bin_masses(hist.edges, hist.dim)
     occupied = p > 0
-    d_kl = float(np.sum(p[occupied] * (np.log(p[occupied]) - log_q[occupied])))
-    return d_kl, Histogram(edges, hist.counts / (total * np.diff(edges)), hist.counts)
+    return float(np.sum(p[occupied] * (np.log(p[occupied]) - log_q[occupied])))
 
 
 def kl_divergence(sample: CoefficientSample, bins: int = DEFAULT_BINS) -> float:
     """Kullback-Leibler divergence of the coefficient distribution from GOE, by
-    :func:`coefficient_stats` on the sample's :class:`CoefficientHistogram`.
+    :func:`binned_kl_divergence` on the sample's :class:`CoefficientHistogram`.
 
     Raises
     ------
@@ -197,4 +184,4 @@ def kl_divergence(sample: CoefficientSample, bins: int = DEFAULT_BINS) -> float:
     """
     if sample.values.size == 0:
         raise EmptySample("coefficient sample is empty")
-    return coefficient_stats(CoefficientHistogram.of(sample, bins))[0]
+    return binned_kl_divergence(CoefficientHistogram.of(sample, bins))

@@ -130,6 +130,19 @@ def split_degenerate(spacings) -> tuple[np.ndarray, int]:
     return s[keep], int(s.size - keep.sum())
 
 
+def _checked_spacings(spacings) -> tuple[np.ndarray, int]:
+    """:func:`split_degenerate` of >= MIN_SPACINGS spacings, none negative, not all degenerate."""
+    s = np.asarray(spacings, dtype=float)
+    if s.size < MIN_SPACINGS:
+        raise TooFewSpacings(f"need at least {MIN_SPACINGS} spacings, got {s.size}")
+    if np.any(s < 0):
+        raise ValueError("spacings must be non-negative")
+    clean, n_dropped = split_degenerate(s)
+    if clean.size == 0:
+        raise AllDegenerate("all spacings below the degeneracy tolerance")
+    return clean, n_dropped
+
+
 def _golden_max(f, lo: float, hi: float, xtol: float) -> float:
     """Golden-section maximizer of a unimodal function on [lo, hi]."""
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
@@ -158,18 +171,12 @@ def fit_brody(spacings) -> tuple[float, int]:
     ------
     TooFewSpacings
         If fewer than MIN_SPACINGS spacings are supplied.
+    ValueError
+        If a spacing is negative.
     AllDegenerate
         If every spacing falls below the degeneracy tolerance.
     """
-    s = np.asarray(spacings, dtype=float)
-    if s.size < MIN_SPACINGS:
-        raise TooFewSpacings(f"need at least {MIN_SPACINGS} spacings, got {s.size}")
-    if np.any(s < 0):
-        raise ValueError("spacings must be non-negative")
-    clean, n_dropped = split_degenerate(s)
-    if clean.size == 0:
-        raise AllDegenerate("all spacings below the degeneracy tolerance")
-
+    clean, n_dropped = _checked_spacings(spacings)
     mean_log_s = float(np.mean(np.log(clean)))
 
     def mean_loglik(beta: float) -> float:
@@ -189,14 +196,9 @@ def eta_indicator(spacings) -> float:
         eta = | F(S0) - F_WD(S0) | / integral_0^S0 (P_P - P_WD)
 
     clipped to [0, 1].  Degenerate spacings are excluded first.  eta -> 0 for
-    GOE-like samples and -> 1 for Poisson-like ones.
+    GOE-like samples and -> 1 for Poisson-like ones.  Raises as :func:`fit_brody`.
     """
-    s = np.asarray(spacings, dtype=float)
-    if s.size < MIN_SPACINGS:
-        raise TooFewSpacings(f"need at least {MIN_SPACINGS} spacings, got {s.size}")
-    clean, _ = split_degenerate(s)
-    if clean.size == 0:
-        raise AllDegenerate("all spacings below the degeneracy tolerance")
+    clean, _ = _checked_spacings(spacings)
     empirical_cdf = float(np.mean(clean <= S0))
     eta = abs(empirical_cdf - _WD_CDF_S0) / ETA_DENOM
     return float(min(max(eta, 0.0), 1.0))

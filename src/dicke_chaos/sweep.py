@@ -22,7 +22,7 @@ import math
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cache as memoize, partial  # `cache` is a SpectrumCache parameter
 from pathlib import Path
 from typing import Mapping, Sequence, get_type_hints
@@ -37,7 +37,7 @@ from .eigenstate_stats import (
     CoefficientHistogram,
     CoefficientSample,
     Histogram,
-    coefficient_stats,
+    binned_kl_divergence,
     collect_coefficients,
 )
 from .errors import CacheFormatError, DickeChaosError, EmptyWindow, OutputUnwritable, UsageError
@@ -77,10 +77,10 @@ class Thresholds:
     mean_r_min: float = 0.48
 
     def __post_init__(self) -> None:
-        for name in ("eta_max", "beta_min", "mean_r_min"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not 0.0 < v < 1.0:
-                raise ValueError(f"threshold {name} must lie in (0, 1), got {v}")
+                raise ValueError(f"threshold {f.name} must lie in (0, 1), got {v}")
 
 
 @dataclass(frozen=True)
@@ -291,7 +291,7 @@ def compute_point(params: ModelParams, fit_degree: int = DEFAULT_FIT_DEGREE,
             notes.append("d_kl: mid window empty")
         else:
             try:
-                row.d_kl, _ = coefficient_stats(data.coefficients)
+                row.d_kl = binned_kl_divergence(data.coefficients)
             except DickeChaosError as exc:
                 notes.append(f"d_kl: {exc}")
     if notes:
@@ -401,14 +401,15 @@ def write_errors_sidecar(rows: Sequence[SweepResultRow], path: str | Path) -> bo
 
 
 def write_histogram(hist: Histogram, path: str | Path, meta: Mapping | None = None) -> None:
-    """Serialize one histogram as JSON with edges, densities, counts and meta."""
+    """Serialize one histogram as strict JSON: edges, densities, counts and meta (NaN as null)."""
     doc = {
         "edges": [float(x) for x in hist.edges],
         "densities": [float(x) for x in hist.densities],
         "counts": [int(x) for x in hist.counts],
-        "meta": dict(meta or {}),
+        "meta": {k: None if isinstance(v, float) and math.isnan(v) else v
+                 for k, v in (meta or {}).items()},
     }
-    _write_text(path, json.dumps(doc, indent=2) + "\n")
+    _write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
 def histogram_name(kind: str, kappa: float, lam: float) -> str:
@@ -441,7 +442,7 @@ def write_boundary_csv(points: Sequence[BoundaryPoint], path: str | Path) -> Non
 # ---------------------------------------------------------------------------
 # JSON configuration
 
-THRESHOLD_KEYS = {"eta_max", "beta_min", "mean_r_min"}
+THRESHOLD_KEYS = {f.name for f in fields(Thresholds)}
 
 
 def _number(value, kind: type = float):

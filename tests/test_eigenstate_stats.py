@@ -19,7 +19,11 @@ from dicke_chaos import (
     goe_coefficient_pdf,
     kl_divergence,
 )
-from dicke_chaos.eigenstate_stats import _log_gaussian_bin_masses
+from dicke_chaos.eigenstate_stats import (
+    CoefficientHistogram,
+    _log_gaussian_bin_masses,
+    binned_kl_divergence,
+)
 from dicke_chaos.errors import (
     DegenerateRange,
     EmptySample,
@@ -68,6 +72,39 @@ class TestHistogram:
     def test_empty_with_range_is_zero(self):
         hist = build_histogram(np.array([]), bins=10, value_range=(0.0, 1.0))
         assert np.all(hist.counts == 0) and np.all(hist.densities == 0.0)
+
+    @pytest.mark.parametrize("value_range", [None, (-1.5, 2.0)])
+    @pytest.mark.parametrize("values", [[0.3, -1.2, 1.9, 0.3, 0.7], [0.25, 0.25]],
+                             ids=["spread", "one_value"])
+    def test_edges_are_np_histogram_edges(self, values, value_range):
+        """The derived edges are np.histogram's, also where it widens a one-value span."""
+        counts, edges = np.histogram(values, 13, value_range)
+        hist = build_histogram(values, 13, value_range)
+        assert np.array_equal(hist.edges, edges) and np.array_equal(hist.counts, counts)
+
+
+class TestCoefficientHistogram:
+    def test_is_the_histogram_of_its_sample(self):
+        rng = np.random.default_rng(4)
+        sample = make_sample(rng.normal(0.0, 0.1, 3000), dim=30)
+        hist = CoefficientHistogram.of(sample, 41)
+        reference = build_histogram(sample.values, 41, (sample.c_min, sample.c_max))
+        for name in ("counts", "edges", "densities"):
+            assert np.array_equal(getattr(hist, name), getattr(reference, name))
+        assert (hist.lo, hist.hi, hist.dim, hist.n_states) == (
+            sample.c_min, sample.c_max, 30, 100)
+
+    def test_payload_round_trip(self):
+        sample = make_sample(np.linspace(-0.2, 0.3, 120), dim=12)
+        hist = CoefficientHistogram.of(sample, 17)
+        payload = hist.payload
+        assert np.array_equal(payload[:3], [10, -0.2, 0.3])
+        back = CoefficientHistogram.from_payload(payload, 12)
+        assert np.array_equal(back.payload, payload)
+        assert np.array_equal(back.edges, hist.edges)
+        assert np.array_equal(back.densities, hist.densities)
+        assert binned_kl_divergence(back) == binned_kl_divergence(hist) == kl_divergence(
+            sample, 17)
 
 
 class TestCollectCoefficients:
@@ -218,6 +255,17 @@ class TestLogGaussianBinMasses:
         edges = np.linspace(-0.8, 0.8, 17)
         logm = _log_gaussian_bin_masses(edges, dim)
         np.testing.assert_allclose(logm, logm[::-1], rtol=1e-9)
+
+    def test_upper_tail_mirrors_lower_tail(self):
+        """One formula serves both tails: reflected edges give reflected masses, bit for
+        bit, with bins out to |z| = 80 on both sides and straddling 0 and +-38."""
+        dim = 100
+        e = np.concatenate([np.linspace(-8.0, -3.9, 42), [-3.8, -0.05, 0.0, 0.02, 3.8],
+                            np.linspace(3.9, 8.0, 42)])
+        assert np.abs(e).max() * np.sqrt(dim) == 80.0
+        masses = _log_gaussian_bin_masses(e, dim)
+        assert np.array_equal(masses, _log_gaussian_bin_masses(-e[::-1], dim)[::-1])
+        assert np.all(np.isfinite(masses))
 
     def test_total_mass_sums_to_one_over_wide_range(self):
         dim = 50

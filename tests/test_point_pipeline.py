@@ -32,6 +32,8 @@ from dicke_chaos.cache import (KIND_ENERGIES, KIND_MID_COEFFS, KIND_MID_HISTOGRA
 from dicke_chaos.cli import main
 from dicke_chaos.eigenstate_stats import DEFAULT_BINS
 from dicke_chaos.errors import ConvergenceFailure
+from dicke_chaos.spectral_stats import (DEFAULT_FIT_DEGREE, spacing_ratios, split_degenerate,
+                                        unfold)
 from dicke_chaos.spectrum import DEFAULT_TAIL_TOL, DEFAULT_TAIL_WIDTH, tail_weights
 from dicke_chaos.sweep import compute_point_data
 
@@ -246,6 +248,35 @@ def test_warm_d_kl_and_p_of_c_equal_the_pooled_components_route(tmp_path, lam, k
     for field in ("edges", "densities", "counts"):
         assert np.array_equal(getattr(hist, field), getattr(reference, field))
     assert meta["d_kl"] == warm.d_kl
+
+
+@pytest.mark.parametrize("bins", [201, 57])
+@pytest.mark.parametrize("lam, kappa", POINTS)
+def test_histogram_files_hold_np_histogram_bins(tmp_path, lam, kappa, bins):
+    """Each P(s), P(r) and P(c) file holds np.histogram's own edges and counts of the
+    values it describes, and densities counts / (total * width), pinned independently
+    of the package's Histogram record."""
+    params = ModelParams(j=6.0, n_cutoff=80, lambda_=lam, kappa=kappa)
+    ds = library_dataset(params)
+    spacings, _ = split_degenerate(unfold(ds.energies, DEFAULT_FIT_DEGREE).spacings)
+    coefficients = collect_coefficients(ds).values
+    described = {
+        "spacing": (spacings, (0.0, float(spacings.max()))),
+        "ratio": (spacing_ratios(ds.energies)[0], (0.0, 1.0)),
+        "coeff": (coefficients, (float(coefficients.min()), float(coefficients.max()))),
+    }
+    config = point_config(tmp_path, "point", **{"lambda": lam, "kappa": kappa, "bins": bins})
+    for kind, (values, value_range) in described.items():
+        command = "eigstats" if kind == "coeff" else kind
+        assert main([command, "--config", str(config), "--out", str(tmp_path)]) == 0
+        name = f"hist_{kind}_{format(kappa, 'g')}_{format(lam, 'g')}.json"
+        hist, _ = read_histogram(tmp_path / name)
+        counts, edges = np.histogram(values, bins, value_range)
+        assert np.array_equal(hist.edges, edges)
+        assert np.array_equal(hist.counts, counts)
+        total = counts.sum()
+        expected = counts / (total * np.diff(edges)) if total else np.zeros(bins)
+        assert np.array_equal(hist.densities, expected)
 
 
 def test_empty_mid_window_is_still_a_d_kl_note(tmp_path, capsys):

@@ -152,6 +152,19 @@ class TestEta:
         with pytest.raises(TooFewSpacings):
             eta_indicator(np.ones(10))
 
+    def test_all_degenerate(self):
+        with pytest.raises(AllDegenerate):
+            eta_indicator(np.zeros(200))
+
+
+@pytest.mark.parametrize("indicator", [eta_indicator, fit_brody])
+def test_negative_spacing_is_refused(indicator):
+    """eta and Brody share one spacing check, so both refuse a negative spacing."""
+    s = np.ones(200)
+    s[17] = -1e-3
+    with pytest.raises(ValueError, match="non-negative"):
+        indicator(s)
+
 
 class TestUnfold:
     def test_equally_spaced_gives_unit_spacings(self):

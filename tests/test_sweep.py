@@ -10,7 +10,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -452,6 +452,17 @@ class TestHistogramFiles:
         assert meta == {"kind": "test"}
         np.testing.assert_array_equal(loaded.counts, hist.counts)
 
+    def test_nan_meta_is_strict_json_null(self, tmp_path):
+        """A library call with a NaN meta value writes null, never the token NaN."""
+        from dicke_chaos import build_histogram
+
+        path = tmp_path / "hist.json"
+        write_histogram(build_histogram([0.1, 0.4, 0.4], bins=10), path,
+                        {"eta": math.nan, "beta": 0.5, "n": 3})
+        assert "NaN" not in path.read_text()
+        _, meta = read_histogram(path)  # a parser that rejects NaN and Infinity
+        assert meta == {"eta": None, "beta": 0.5, "n": 3}
+
     def test_histogram_name(self):
         assert histogram_name("spacing", 0.5, 0.25) == "hist_spacing_0.5_0.25"
 
@@ -515,6 +526,15 @@ class TestConfig:
         assert config.kappa_grid == (0.0, 0.5)
         assert config.fit_degree == 8
         assert config.thresholds.mean_r_min == 0.48
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(Thresholds)])
+    def test_every_threshold_field_is_a_config_key(self, tmp_path, name):
+        """The config reader accepts exactly the Thresholds fields."""
+        config = read_doc(tmp_path, {"thresholds": {name: 0.25}},
+                          [(f"thresholds.{name}", 0.5)])
+        assert getattr(config.thresholds, name) == 0.5
+        with pytest.raises(UsageError, match=f"thresholds.{name}x"):
+            read_doc(tmp_path, {"thresholds": {f"{name}x": 0.25}})
 
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(UsageError):
