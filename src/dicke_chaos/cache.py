@@ -86,6 +86,7 @@ class SpectrumCache:
     def __init__(self, root: str | Path):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        self._entries: dict[tuple, tuple[bytes, Path]] = {}  # _entry's memo
 
     def path(self, params: ModelParams, sector: Parity | None, kind: str,
              tail_width: int | None = None, bins: int | None = None) -> Path:
@@ -94,10 +95,14 @@ class SpectrumCache:
 
     def _entry(self, params: ModelParams, sector: Parity | None, kind: str,
                tail_width: int | None, bins: int | None) -> tuple[bytes, Path]:
-        """The key document as canonical UTF-8 JSON, and the file named by its hash."""
-        key = json.dumps(cache_key(params, sector, kind, tail_width, bins),
-                         sort_keys=True, separators=(",", ":")).encode("utf-8")
-        return key, self.root / f"{hashlib.sha256(key).hexdigest()}.spec"
+        """The key document as canonical UTF-8 JSON, and the file named by its hash; made once per
+        cache object, memoized on ``repr(params)``, which tells -0.0 from 0.0 as == does not."""
+        memo = (repr(params), sector, kind, tail_width, bins)
+        if (entry := self._entries.get(memo)) is None:
+            key = json.dumps(cache_key(params, sector, kind, tail_width, bins),
+                             sort_keys=True, separators=(",", ":")).encode("utf-8")
+            entry = self._entries[memo] = key, self.root / f"{hashlib.sha256(key).hexdigest()}.spec"
+        return entry
 
     def load(self, params: ModelParams, sector: Parity | None, kind: str,
              tail_width: int | None = None, bins: int | None = None) -> np.ndarray | None:
@@ -109,9 +114,11 @@ class SpectrumCache:
             If an existing file has the wrong magic, version, key or length.
         """
         key, path = self._entry(params, sector, kind, tail_width, bins)
-        if not path.exists():
+        try:
+            fh = open(path, "rb")
+        except FileNotFoundError:
             return None
-        with open(path, "rb") as fh:
+        with fh:
             head = fh.read(len(MAGIC) + 8)
             if len(head) < len(MAGIC) + 8 or head[: len(MAGIC)] != MAGIC:
                 raise CacheFormatError(f"{path}: bad magic")

@@ -11,6 +11,7 @@ malformed or out-of-range value), 2 runtime error, 130 interrupted (Ctrl-C).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -43,6 +44,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # one parser per process: in-process callers of ``main`` build it once
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="dicke-chaos", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -67,7 +69,7 @@ def _override(pair: str) -> tuple[str, object]:
         return key, raw
     try:
         return key, json.loads(raw)
-    except json.JSONDecodeError:
+    except ValueError:  # not JSON, or an int literal past Python's 4300-digit limit
         return key, raw
 
 

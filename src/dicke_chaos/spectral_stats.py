@@ -3,8 +3,8 @@
 Implements spectrum unfolding, the nearest-neighbor spacing distribution with
 its Poisson / Wigner-Dyson / Brody references, the eta indicator, adjacent
 spacing ratios with their Poisson / GOE references, and threshold scans that
-extract a chaos boundary lambda*(kappa) from sweep grids.  ``scipy.special`` is
-imported at the first :func:`brody_scale`, so boundary extraction never loads it.
+extract a chaos boundary lambda*(kappa) from sweep grids.  ``scipy.special`` and
+``numpy.polynomial`` load at their first use, so boundary extraction loads neither.
 """
 
 from __future__ import annotations
@@ -80,9 +80,9 @@ class UnfoldedSpectrum:
 def unfold(energies, fit_degree: int = DEFAULT_FIT_DEGREE) -> UnfoldedSpectrum:
     """Unfold a spectrum by a global polynomial fit of the counting function.
 
-    The cumulative staircase N(E) = #{k : E_k <= E} is fitted by a least-squares
-    polynomial of the given degree (on a domain mapped to [-1, 1], which makes
-    the result invariant under affine reparametrizations of the energy axis).
+    The cumulative staircase N(E) = #{k : E_k <= E} is fitted, in the arithmetic of
+    numpy's ``Polynomial.fit``, by a least-squares polynomial of the given degree on a
+    domain mapped to [-1, 1] (so affine maps of the energy axis leave the result as is).
     Unfolded levels are the fitted values at the eigenvalues, re-sorted where
     the fit is locally non-monotone.
 
@@ -100,12 +100,13 @@ def unfold(energies, fit_degree: int = DEFAULT_FIT_DEGREE) -> UnfoldedSpectrum:
         raise TooFewLevels(f"need at least {fit_degree + 10} levels, got {e.size}")
     if e[-1] - e[0] <= 0:
         raise DegenerateFit("spectrum has zero span")
+    from numpy.polynomial import polynomial, polyutils
     staircase = np.arange(1, e.size + 1, dtype=float)
-    series, diag = np.polynomial.Polynomial.fit(e, staircase, fit_degree, full=True)
-    rank = diag[1]
+    x = polyutils.mapdomain(e, polyutils.getdomain(e), (-1.0, 1.0))
+    coef, (_, rank, _, _) = polynomial.polyfit(x, staircase, fit_degree, full=True)
     if rank < fit_degree + 1:
         raise DegenerateFit(f"counting-function fit is rank-deficient (rank {rank})")
-    levels = np.sort(series(e), kind="stable")
+    levels = np.sort(polynomial.polyval(x, coef), kind="stable")
     return UnfoldedSpectrum(spacings=np.diff(levels))
 
 
@@ -182,7 +183,8 @@ def fit_brody(spacings) -> tuple[float, int]:
     def mean_loglik(beta: float) -> float:
         b1 = beta + 1.0
         b = brody_scale(beta)
-        return np.log(b * b1) + beta * mean_log_s - b * float(np.mean(clean**b1))
+        mean_s_b1 = np.add.reduce(clean**b1) / clean.size  # np.mean's bits, without its wrapper
+        return np.log(b * b1) + beta * mean_log_s - b * float(mean_s_b1)
 
     beta = _golden_max(mean_loglik, 0.0, 1.0, 1e-4)
     return float(beta), n_dropped

@@ -449,7 +449,10 @@ def _number(value, kind: type = float):
     """A finite number or numeric string as ``kind``; bools, and fractions for int, are rejected."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise TypeError(f"expected a number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError as exc:  # an int beyond the float range
+        raise ValueError(f"expected a finite number, got {value!r}") from exc
     if not math.isfinite(number) or not (kind is float or number.is_integer()):
         expected = "an integer" if kind is int else "a finite number"
         raise ValueError(f"expected {expected}, got {value!r}")
@@ -494,7 +497,7 @@ def read_config(path: str | Path, overrides: Sequence[tuple[str, object]] = ()) 
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise UsageError(f"config {path} is not UTF-8 text: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int literal past the digit limit
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise UsageError(f"config {path} must hold a JSON object")

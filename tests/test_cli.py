@@ -12,6 +12,7 @@ import pytest
 import dicke_chaos
 import dicke_chaos.cli as cli
 from dicke_chaos.cli import main
+from dicke_chaos.eigenstate_stats import DEFAULT_BINS
 from dicke_chaos.sweep import SweepResultRow, read_csv, write_csv
 
 from histogram_io import read_histogram
@@ -118,6 +119,25 @@ class TestOverrides:
     def test_missing_equals_rejected(self, config_path, capsys):
         assert main(["spectrum", "--config", str(config_path), "--set", "j"]) == 1
         assert "--set expects KEY=VALUE" in capsys.readouterr().err
+
+
+class TestOneParserPerProcess:
+    """``main`` builds its parser once per process; no call leaves state in it for the next."""
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_share_the_parser_but_not_their_settings(self, config_path, monkeypatch,
+                                                           capsys):
+        config, _ = configured(monkeypatch, "--config", str(config_path),
+                               "--set", "bins=57", "--workers", "2")
+        assert (config.bins, config.workers) == (57, 2)
+        config, _ = configured(monkeypatch, "--config", str(config_path))
+        assert (config.bins, config.workers, config.base.j) == (DEFAULT_BINS, 1, 6.0)
+        assert main(["spectrum", "--config", str(config_path), "--no-such-flag"]) == 1
+        assert "unrecognized arguments: --no-such-flag" in capsys.readouterr().err
+        config, _ = configured(monkeypatch, "--config", str(config_path), "--set", "j=4")
+        assert (config.bins, config.workers, config.base.j) == (DEFAULT_BINS, 1, 4.0)
 
 
 class TestPrecedence:
@@ -306,6 +326,42 @@ class TestExitCodes:
         assert main(["spacing", "--config", str(config_path), *spelling]) == 1
         assert "config key output_dir: expected a path string, got ''" in capsys.readouterr().err
         assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    @pytest.mark.parametrize("where", ["file", "set"])
+    @pytest.mark.parametrize("key", ["n_cutoff", "lambda"])
+    def test_number_beyond_float_range_is_usage_error(self, config_path, tmp_path, capsys,
+                                                      key, where):
+        """An int too large for a float (1 followed by 400 zeros) is out of range, not a
+        runtime OverflowError: it exits 1 and names its key."""
+        huge = 10**400
+        if where == "file":
+            config_path.write_text(json.dumps({**json.loads(config_path.read_text()), key: huge}))
+            extra = []
+        else:
+            extra = ["--set", f"{key}={huge}"]
+        assert main(["spectrum", "--config", str(config_path), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config key {key}: expected a finite number, got 1000")
+        assert "OverflowError" not in err
+        out = tmp_path / "out"
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("where", ["file", "set"])
+    def test_integer_past_the_digit_limit_is_usage_error(self, config_path, tmp_path, capsys,
+                                                         where):
+        """json.loads refuses an int literal of over 4300 digits with a plain ValueError,
+        which exits 1 like any malformed config, not 2."""
+        digits = "1" + "0" * 5000
+        if where == "file":
+            config_path.write_text(config_path.read_text()[:-1] + f', "n_cutoff": {digits}}}')
+            extra = []
+        else:
+            extra = ["--set", f"n_cutoff={digits}"]
+        assert main(["spectrum", "--config", str(config_path), *extra]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: config") and "ValueError" not in err
+        limited = hasattr(sys, "get_int_max_str_digits")  # Pythons before the limit parse it
+        assert ("not valid JSON" if where == "file" and limited else "config key n_cutoff") in err
 
     def test_unusable_cache_dir_is_usage_error(self, config_path, tmp_path, capsys):
         blocker = tmp_path / "a_file"

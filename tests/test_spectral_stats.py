@@ -8,6 +8,7 @@ from scipy.stats import kstest
 
 from dicke_chaos import (
     S0,
+    ModelParams,
     brody_pdf,
     brody_scale,
     chaos_boundary,
@@ -30,7 +31,8 @@ from dicke_chaos.errors import (
     TooFewLevels,
     TooFewSpacings,
 )
-from dicke_chaos.spectral_stats import ETA_DENOM
+from dicke_chaos.spectral_stats import DEFAULT_FIT_DEGREE, DEGENERACY_REL_TOL, ETA_DENOM
+from dicke_chaos.sweep import compute_point_data
 
 
 def sample_brody(rng, beta, size):
@@ -205,6 +207,123 @@ class TestUnfold:
     def test_rejects_descending_input(self):
         with pytest.raises(ValueError):
             unfold(np.array([3.0, 2.0, 1.0] * 20))
+
+
+def reference_unfold(energies, fit_degree):
+    """Unfolded spacings through numpy's Polynomial class."""
+    staircase = np.arange(1, energies.size + 1, dtype=float)
+    series = np.polynomial.Polynomial.fit(energies, staircase, fit_degree)
+    return np.diff(np.sort(series(energies), kind="stable"))
+
+
+def reference_split_degenerate(spacings):
+    """split_degenerate written with ndarray.mean."""
+    s = np.asarray(spacings, dtype=float)
+    mean = s.mean()
+    keep = s >= DEGENERACY_REL_TOL * mean if mean > 0 else np.zeros(s.shape, dtype=bool)
+    return s[keep], int(s.size - keep.sum())
+
+
+def reference_eta(spacings):
+    """eta_indicator written with np.mean."""
+    clean, _ = reference_split_degenerate(spacings)
+    eta = abs(float(np.mean(clean <= S0)) - (1.0 - np.exp(-np.pi * S0 * S0 / 4.0))) / ETA_DENOM
+    return float(min(max(eta, 0.0), 1.0))
+
+
+def reference_mean_r(energies):
+    """mean_ratio(spacing_ratios(energies)) and the dropped pairs, written with ndarray.mean."""
+    s = np.diff(energies)
+    keep = s >= DEGENERACY_REL_TOL * s.mean()
+    ok = keep[:-1] & keep[1:]
+    delta = s[1:][ok] / s[:-1][ok]
+    return float(np.minimum(delta, 1.0 / delta).mean()), int(ok.size - ok.sum())
+
+
+def reference_fit_brody(spacings):
+    """The Brody fit's golden section, written with np.mean in the likelihood."""
+    clean, n_dropped = reference_split_degenerate(spacings)
+    mean_log_s = float(np.mean(np.log(clean)))
+
+    def f(beta):
+        b1 = beta + 1.0
+        b = brody_scale(beta)
+        return np.log(b * b1) + beta * mean_log_s - b * float(np.mean(clean**b1))
+
+    lo, hi, invphi = 0.0, 1.0, (np.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > 1e-4:
+        if f1 > f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+    return float(0.5 * (lo + hi)), n_dropped
+
+
+@pytest.fixture(scope="module")
+def spectra():
+    """Poisson, GOE, a picket fence with ties, and two smoke-scale (D=446) windowed spectra."""
+    rng = np.random.default_rng(20)
+    a = rng.normal(size=(400, 400))
+    fence = np.sort(np.concatenate([np.arange(300.0), np.arange(0.0, 300.0, 7.0)]))
+    smoke = [compute_point_data(ModelParams(j=5.0, n_cutoff=80, kappa=0.5, lambda_=lam),
+                                want_vectors=False) for lam in (0.2, 0.9)]
+    assert {data.energies.size for data in smoke} == {446}
+    return {
+        "poisson": np.cumsum(rng.exponential(size=500)),
+        "goe": np.linalg.eigvalsh((a + a.T) / 2.0),
+        "fence with ties": fence,
+        **{f"smoke lambda={lam}": data.windowed for lam, data in zip((0.2, 0.9), smoke)},
+    }
+
+
+SPECTRUM_NAMES = ["poisson", "goe", "fence with ties", "smoke lambda=0.2", "smoke lambda=0.9"]
+
+
+class TestBitForBit:
+    """The statistics skip numpy's per-call wrappers; the bits stay those of the wrapped calls."""
+
+    @pytest.mark.parametrize("fit_degree", [DEFAULT_FIT_DEGREE, 6])
+    @pytest.mark.parametrize("name", SPECTRUM_NAMES)
+    def test_unfold_is_polynomial_fit(self, spectra, name, fit_degree):
+        energies = spectra[name]
+        assert (unfold(energies, fit_degree).spacings.tobytes()
+                == reference_unfold(energies, fit_degree).tobytes())
+
+    @pytest.mark.parametrize("name", SPECTRUM_NAMES)
+    def test_fit_brody_is_the_np_mean_golden_section(self, spectra, name):
+        spacings = reference_unfold(spectra[name], DEFAULT_FIT_DEGREE)
+        beta, n_dropped = fit_brody(spacings)
+        ref_beta, ref_dropped = reference_fit_brody(spacings)
+        assert np.float64(beta).tobytes() == np.float64(ref_beta).tobytes()
+        assert n_dropped == ref_dropped
+        assert (name == "fence with ties") == (n_dropped > 0)
+
+    @pytest.mark.parametrize("name", SPECTRUM_NAMES)
+    def test_eta_and_degeneracies_are_the_np_mean_ones(self, spectra, name):
+        spacings = reference_unfold(spectra[name], DEFAULT_FIT_DEGREE)
+        assert np.float64(eta_indicator(spacings)).tobytes() == np.float64(
+            reference_eta(spacings)).tobytes()
+        for s in (spacings, np.diff(spectra[name])):
+            clean, n_dropped = split_degenerate(s)
+            ref_clean, ref_dropped = reference_split_degenerate(s)
+            assert clean.tobytes() == ref_clean.tobytes() and n_dropped == ref_dropped
+
+    @pytest.mark.parametrize("name", SPECTRUM_NAMES)
+    def test_mean_ratio_is_the_np_mean_one(self, spectra, name):
+        ratios, n_dropped = spacing_ratios(spectra[name])
+        ref_mean_r, ref_dropped = reference_mean_r(spectra[name])
+        assert np.float64(mean_ratio(ratios)).tobytes() == np.float64(ref_mean_r).tobytes()
+        assert n_dropped == ref_dropped
+
+    def test_spectra_cover_both_regimes(self, spectra):
+        betas = {name: fit_brody(unfold(spectra[name]).spacings)[0] for name in SPECTRUM_NAMES}
+        assert betas["poisson"] < 0.3 < 0.7 < betas["goe"]
 
 
 class TestSpacingRatios:

@@ -1,5 +1,6 @@
 """Diagonalization, window filtering, convergence checks and the spectrum cache."""
 
+import itertools
 import math
 import os
 import sys
@@ -638,3 +639,56 @@ class TestSpectrumCache:
         cache.store(p, Parity.EVEN, KIND_MID_COEFFS, np.array([]))
         loaded = cache.load(p, Parity.EVEN, KIND_MID_COEFFS)
         assert loaded is not None and loaded.size == 0
+
+
+#: (kappa, bins, name): the entry names these keys had before key documents were memoized.
+#: A list, not a dict keyed by (kappa, bins): the signed zeros would make one dict key.
+PARENT_NAMES = [
+    (0.0, None, "1cfa42a2ac8d9ebb02881a01a637c265a6c811f054027885f1799c75edd3d8f6.spec"),
+    (0.0, 201, "9e074f99b0a54c3db3f2e1147691a2d73f5800bc7e3aa51d47390e0f0effce4f.spec"),
+    (0.0, 57, "302c7b1c9245889acc0684b5886ad4f2512c2a5302ebd83d41016c2490e7e10e.spec"),
+    (-0.0, None, "59a4e942efcb0cdbff8557c3a21e1dbbe76de3f4a86c9f4e9805a927b8e5447c.spec"),
+    (-0.0, 201, "1ab746cb53c41ee63a87b6dee1bb8c2d714ac63a57bb3c6fdf5054eac4492a5e.spec"),
+    (-0.0, 57, "4a87d3386bd5dd91e3fdc11bc956594d4e02377cae40fbf925fd616472e8d66e.spec"),
+]
+
+
+class TestKeyMemo:
+    """A cache object makes each entry's key document and file name once.  0.0 and
+    -0.0 compare (and hash) equal, but their keys differ, so neither may take the
+    other's memoized name."""
+
+    @staticmethod
+    def name(cache, kappa, bins):
+        p = ModelParams(lambda_=0.7, kappa=kappa, j=2.0, n_cutoff=11)
+        kind = KIND_ENERGIES if bins is None else KIND_MID_HISTOGRAM
+        return cache.path(p, Parity.EVEN, kind, bins=bins).name
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(PARENT_NAMES))[::97],
+                             ids=lambda order: ",".join(f"{k}/{b}" for k, b, _ in order))
+    @pytest.mark.parametrize("key_first", [False, True], ids=["cold", "after cache_key"])
+    def test_names_are_the_unmemoized_ones_in_any_order(self, tmp_path, order, key_first):
+        if key_first:
+            cache_key(ModelParams(lambda_=0.7, kappa=0.0, j=2.0, n_cutoff=11), Parity.EVEN,
+                      KIND_MID_HISTOGRAM, bins=57)
+        cache = SpectrumCache(tmp_path)
+        for _ in range(2):  # the second round reads the memo
+            assert [self.name(cache, kappa, bins) for kappa, bins, _ in order] == [
+                name for _, _, name in order]
+        assert self.name(SpectrumCache(tmp_path / "other"), -0.0, 57) == PARENT_NAMES[-1][2]
+
+    def test_signed_zeros_keep_their_own_entries(self, tmp_path):
+        cache = SpectrumCache(tmp_path)
+        points = [ModelParams(j=1.0, n_cutoff=8, kappa=kappa) for kappa in (0.0, -0.0)]
+        assert points[0] == points[1] and hash(points[0]) == hash(points[1])
+        for value, p in enumerate(points):
+            cache.store(p, Parity.EVEN, KIND_ENERGIES, np.array([float(value)]))
+        assert [cache.load(p, Parity.EVEN, KIND_ENERGIES)[0] for p in points] == [0.0, 1.0]
+        assert len(list(tmp_path.iterdir())) == 2
+
+    def test_list_windows_share_the_tuple_entry(self, tmp_path):
+        cache = SpectrumCache(tmp_path)
+        listed = ModelParams(j=1.0, n_cutoff=8, energy_window=[0.4, 4], mid_window=[1.75, 2.25])
+        assert (cache.path(listed, Parity.EVEN, KIND_MID_HISTOGRAM, bins=57)
+                == cache.path(ModelParams(j=1.0, n_cutoff=8), Parity.EVEN, KIND_MID_HISTOGRAM,
+                              bins=57))

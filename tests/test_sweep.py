@@ -199,6 +199,18 @@ class TestCacheHitsInParent:
         monkeypatch.setattr(multiprocessing, "get_context", no_processes)
         assert sweep_csv(tmp_path / "warm", workers=2, cache_dir=cache) == expected
 
+    def test_warm_sweep_makes_each_key_once(self, tmp_path, monkeypatch):
+        """The test of which points are on disk and the points' own reads share one key
+        document per entry: three per warm point."""
+        cache = fill_cache(tmp_path / "cache", GRID)
+        made = []
+        key = dicke_chaos.cache.cache_key
+        monkeypatch.setattr(dicke_chaos.cache, "cache_key",
+                            lambda *args: made.append(args[2]) or key(*args))
+        run_sweep(small_config(tmp_path, cache_dir=cache))
+        assert sorted(made) == sorted(
+            [KIND_ENERGIES, KIND_TAIL_WEIGHTS, KIND_MID_HISTOGRAM] * len(GRID))
+
     @pytest.mark.parametrize("workers, cached, pool_size", [(2, 1, 2), (4, 3, 1)])
     def test_pool_gets_one_process_per_miss_up_to_workers(self, tmp_path, monkeypatch,
                                                           workers, cached, pool_size):
