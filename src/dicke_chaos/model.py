@@ -42,6 +42,14 @@ class Parity(Enum):
     ODD = "odd"
 
 
+def check_coupling(name: str, value: float) -> None:
+    """ModelParams' rule for ``lambda_`` and ``kappa``, the values sweep grids vary."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """Physical and truncation parameters (hbar = 1, energies in units of omega).
@@ -83,10 +91,8 @@ class ModelParams:
             raise ValueError(f"omega must be > 0, got {self.omega}")
         if not self.omega0 > 0:
             raise ValueError(f"omega0 must be > 0, got {self.omega0}")
-        if self.lambda_ < 0:
-            raise ValueError(f"lambda_ must be >= 0, got {self.lambda_}")
-        if self.kappa < 0:
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+        check_coupling("lambda_", self.lambda_)
+        check_coupling("kappa", self.kappa)
         twoj = 2.0 * self.j
         if abs(twoj - round(twoj)) > 1e-9 or round(twoj) < 1:
             raise ValueError(f"j must be a positive integer or half-integer, got {self.j}")

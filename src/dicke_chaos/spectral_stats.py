@@ -178,6 +178,11 @@ def fit_brody(spacings) -> tuple[float, int]:
         If every spacing falls below the degeneracy tolerance.
     """
     clean, n_dropped = _checked_spacings(spacings)
+    return _brody_beta(clean), n_dropped
+
+
+def _brody_beta(clean: np.ndarray) -> float:
+    """:func:`fit_brody`'s exponent of spacings that passed :func:`_checked_spacings`."""
     mean_log_s = float(np.mean(np.log(clean)))
 
     def mean_loglik(beta: float) -> float:
@@ -186,8 +191,7 @@ def fit_brody(spacings) -> tuple[float, int]:
         mean_s_b1 = np.add.reduce(clean**b1) / clean.size  # np.mean's bits, without its wrapper
         return np.log(b * b1) + beta * mean_log_s - b * float(mean_s_b1)
 
-    beta = _golden_max(mean_loglik, 0.0, 1.0, 1e-4)
-    return float(beta), n_dropped
+    return float(_golden_max(mean_loglik, 0.0, 1.0, 1e-4))
 
 
 def eta_indicator(spacings) -> float:
@@ -200,7 +204,11 @@ def eta_indicator(spacings) -> float:
     clipped to [0, 1].  Degenerate spacings are excluded first.  eta -> 0 for
     GOE-like samples and -> 1 for Poisson-like ones.  Raises as :func:`fit_brody`.
     """
-    clean, _ = _checked_spacings(spacings)
+    return _eta(_checked_spacings(spacings)[0])
+
+
+def _eta(clean: np.ndarray) -> float:
+    """:func:`eta_indicator` of spacings that passed :func:`_checked_spacings`."""
     empirical_cdf = float(np.mean(clean <= S0))
     eta = abs(empirical_cdf - _WD_CDF_S0) / ETA_DENOM
     return float(min(max(eta, 0.0), 1.0))

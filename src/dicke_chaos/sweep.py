@@ -41,13 +41,14 @@ from .eigenstate_stats import (
     collect_coefficients,
 )
 from .errors import CacheFormatError, DickeChaosError, EmptyWindow, OutputUnwritable, UsageError
-from .model import ModelParams, Parity, build_hamiltonian
+from .model import ModelParams, Parity, build_hamiltonian, check_coupling
 from .spectral_stats import (
     DEFAULT_FIT_DEGREE,
     BoundaryPoint,
+    _brody_beta,
+    _checked_spacings,
+    _eta,
     chaos_boundary,
-    eta_indicator,
-    fit_brody,
     mean_ratio,
     spacing_ratios,
     split_degenerate,
@@ -104,10 +105,7 @@ class SweepConfig:
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ValueError(f"{name} must be strictly ascending")
             for value in grid:
-                try:
-                    replace(self.base, **{param: value})
-                except ValueError as exc:
-                    raise ValueError(f"{name}: {exc}") from exc
+                check_coupling(f"{name}: {param}", value)
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.fit_degree < 0:
@@ -242,14 +240,11 @@ def level_statistics(windowed: np.ndarray, fit_degree: int) -> LevelStatistics:
     except DickeChaosError as exc:
         stats.errors["unfold"] = exc
     else:
-        try:
-            stats.eta = eta_indicator(stats.spacings)
+        try:  # one check of the unfolded spacings serves eta and beta
+            clean, _ = _checked_spacings(stats.spacings)
+            stats.eta, stats.beta = _eta(clean), _brody_beta(clean)
         except DickeChaosError as exc:
-            stats.errors["eta"] = exc
-        try:
-            stats.beta, _ = fit_brody(stats.spacings)
-        except DickeChaosError as exc:
-            stats.errors["beta"] = exc
+            stats.errors["eta"] = stats.errors["beta"] = exc
     try:
         stats.ratios, stats.n_dropped_pairs = spacing_ratios(windowed)
         stats.mean_r = mean_ratio(stats.ratios)

@@ -2,19 +2,18 @@
 
 import hashlib
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import dicke_chaos
 import dicke_chaos.cli as cli
 from dicke_chaos.cli import main
 from dicke_chaos.eigenstate_stats import DEFAULT_BINS
 from dicke_chaos.sweep import SweepResultRow, read_csv, write_csv
 
+from child_process import child_env
 from histogram_io import read_histogram
 
 
@@ -47,11 +46,9 @@ def tree_digest(root):
 
 def test_import_leaves_out_scipy_stats_and_optimize():
     """Every CLI call and sweep worker pays the package's import time."""
-    src = str(Path(dicke_chaos.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     probe = ("import sys, dicke_chaos.cli; "
              "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+    out = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "[]"
 
@@ -60,8 +57,7 @@ def test_calls_that_solve_nothing_load_no_lapack(config_path, tmp_path):
     """boundary and a cached spectrum start without scipy.linalg or scipy.special."""
     cache = tmp_path / "cache"
     assert main(["sweep", "--config", str(config_path), "--set", f"cache_dir={cache}"]) == 0
-    src = str(Path(dicke_chaos.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env = child_env()
     env.pop("DICKE_CHAOS_CACHE_DIR", None)
     probe = f"""
 import json, sys

@@ -1,5 +1,6 @@
 """Grid sweeps: determinism, caching, error isolation and file round-trips."""
 
+import collections
 import contextlib
 import json
 import math
@@ -45,6 +46,7 @@ from dicke_chaos.sweep import (
     write_errors_sidecar,
 )
 
+from child_process import child_env
 from histogram_io import read_histogram
 
 # small but statistically meaningful: 527 even-sector states, ~280 in window
@@ -211,6 +213,28 @@ class TestCacheHitsInParent:
         assert sorted(made) == sorted(
             [KIND_ENERGIES, KIND_TAIL_WEIGHTS, KIND_MID_HISTOGRAM] * len(GRID))
 
+    def test_warm_pass_checks_and_builds_each_point_once(self, tmp_path, monkeypatch):
+        """A warm 3 x 4 sweep plus boundary checks each point's unfolded spacings once,
+        splits the degenerate ones from its spacings twice (raw, then unfolded), and
+        builds one ModelParams per config read plus one per point."""
+        grid = dict(kappa_grid=[0.0, 0.35, 0.7], lambda_grid=[0.2, 0.5, 0.9, 1.2])
+        points = [(kappa, lam) for kappa in grid["kappa_grid"] for lam in grid["lambda_grid"]]
+        config = sweep_config_file(tmp_path, fill_cache(tmp_path / "cache", points), **grid)
+        calls = collections.Counter()
+
+        def count(owner, name):
+            inner = getattr(owner, name)
+            monkeypatch.setattr(owner, name, lambda *args: calls.update([name]) or inner(*args))
+
+        for name in ("_checked_spacings", "split_degenerate"):
+            for module in (dicke_chaos.spectral_stats, dicke_chaos.sweep):
+                if hasattr(module, name):
+                    count(module, name)
+        count(ModelParams, "__post_init__")
+        args = ["--config", str(config), "--out", str(tmp_path / "out")]
+        assert main(["sweep", *args]) == 0 and main(["boundary", *args]) == 0
+        assert calls == {"_checked_spacings": 12, "split_degenerate": 24, "__post_init__": 14}
+
     @pytest.mark.parametrize("workers, cached, pool_size", [(2, 1, 2), (4, 3, 1)])
     def test_pool_gets_one_process_per_miss_up_to_workers(self, tmp_path, monkeypatch,
                                                           workers, cached, pool_size):
@@ -253,12 +277,10 @@ class TestCacheHitsInParent:
     def test_blas_thread_count_never_changes_warm_bytes(self, tmp_path):
         """Warm rows are computed in the sweep's own process, whatever its BLAS threads."""
         config = sweep_config_file(tmp_path, fill_cache(tmp_path / "cache", GRID))
-        src = str(Path(dicke_chaos.__file__).resolve().parent.parent)
         csvs = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
-            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-                   "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+            env = child_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
             subprocess.run([sys.executable, "-m", "dicke_chaos.cli", "sweep", "--config",
                             str(config), "--out", str(out)],
                            env=env, capture_output=True, check=True, timeout=300)
@@ -364,13 +386,11 @@ class TestCacheHitsInParent:
         and rewrites no entry the killed run left, so no finished point is solved again."""
         cache_dir = tmp_path / "cache"
         config = sweep_config_file(tmp_path, cache_dir, workers=2)
-        paths = [str(Path(dicke_chaos.__file__).resolve().parent.parent),
-                 str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH", "")]
         run = "import sys, dying_worker; sys.exit(dying_worker.run(sys.argv[1:]))"
         out = tmp_path / "out"
         proc = subprocess.run([sys.executable, "-c", run, "sweep", "--config", str(config),
                                "--out", str(out)],
-                              env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
+                              env=child_env(str(Path(__file__).resolve().parent)),
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2, proc.stderr
         assert "BrokenProcessPool" in proc.stderr
@@ -390,12 +410,11 @@ class TestCacheHitsInParent:
         cache_dir = tmp_path / "cache"
         config = sweep_config_file(tmp_path, cache_dir, workers=2, kappa_grid=[0.0, 0.3, 0.7],
                                    lambda_grid=[0.2, 0.5, 0.9, 1.2])
-        src = str(Path(dicke_chaos.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         out = tmp_path / "out"
         proc = subprocess.Popen([sys.executable, "-m", "dicke_chaos.cli", "sweep", "--config",
                                  str(config), "--out", str(out)],
-                                env=env, stderr=subprocess.PIPE, text=True, start_new_session=True)
+                                env=child_env(), stderr=subprocess.PIPE, text=True,
+                                start_new_session=True)
         try:
             deadline = time.monotonic() + 120
             while not any(cache_dir.glob("*.spec")):
