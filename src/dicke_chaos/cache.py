@@ -18,8 +18,8 @@ entry is missing or malformed (CacheFormatError on load: truncated, or with a
 mangled key, say) makes the payload and stores it, replacing the bad entry.  So
 the coefficients are read only to make a missing histogram, and deleting their
 entries costs a vector solve only when one is made.  Each entry is written whole
-to a temporary file and moved into place by an atomic rename, so concurrent sweep
-workers can share one directory and a reader never sees a partial write.
+to a per-thread temporary file and moved into place by an atomic rename, so threads
+and processes can share one directory and a reader never sees a partial write.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import hashlib
 import json
 import os
 import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -144,7 +145,7 @@ class SpectrumCache:
         or the rename fails, the temporary file is removed and the error re-raised."""
         key, path = self._entry(params, sector, kind, tail_width, bins)
         arr = np.ascontiguousarray(values, dtype="<f8")
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
         try:
             with open(tmp, "wb") as fh:
                 fh.write(MAGIC)

@@ -4,12 +4,13 @@ Eigenvalues come from the band storage of H (LAPACK ``sbevd``, O(D^2 b) work and
 O(D b) memory for half-bandwidth b, against O(D^3) and 8 D^2 bytes dense).  The
 eigenvectors of the windowed states come from banded inverse iteration
 (:func:`windowed_eigenvectors`, LAPACK ``gbtrf``/``gbtrs``, O(D b^2) work and
-O(D b) memory per state), so neither route makes a D x D matrix.  Those two
+O(D b) memory per state), so neither route makes a D x D matrix.  All three
 routines are called through their pointers in ``scipy.linalg.cython_lapack``, which
-release the GIL, from one thread per slice of the windowed states.  A slice is cut
-only between clusters of close levels, so the vectors are the same bytes with any
-thread count.  The default is a thread per core the process may run on
-(:func:`available_cores`); ``sweep.run_sweep`` gives each pool worker its share.
+release the GIL, so a sweep's pool threads overlap in them (not in Python or numpy),
+and inverse iteration runs one thread per slice of the windowed states.  A slice is
+cut only between clusters of close levels, so the vectors are the same bytes with
+any thread count.  The default is a thread per core the process may run on
+(:func:`available_cores`); ``sweep.run_sweep`` gives each pool thread its share.
 The dense divide-and-conquer ``evd`` (``diagonalize(h, want_vectors=True)``) stays
 as the oracle the banded routes are tested against.
 
@@ -78,14 +79,15 @@ def _fix_phases(vectors: np.ndarray) -> None:
 def diagonalize(h: HamiltonianMatrix, want_vectors: bool = False) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric Hamiltonian block.
 
-    Uses LAPACK via scipy.  Eigenvalues alone come from the symmetric-band
-    driver ``sbevd`` on ``h.band``, which holds the whole matrix; no dense
-    matrix is made, so this route needs O(D b) memory at any D.  With vectors,
-    the dense divide-and-conquer ``evd`` runs on a fresh ``h.entries`` and
-    overwrites it with the eigenvectors, which come back in Fortran order (about
-    3 x 8 D^2 bytes at the peak with LAPACK's workspace).  That route is the
-    test oracle of :func:`windowed_eigenvectors`, which the pipeline uses.  Both
-    return the eigenvalues ascending, so their order is kept as it comes.
+    Uses LAPACK.  Eigenvalues alone come from the symmetric-band driver ``dsbevd``,
+    the routine ``scipy.linalg.eig_banded`` calls, here without the GIL, on a copy
+    of ``h.band``, which holds the whole matrix; no dense matrix is made, so this
+    route needs O(D b) memory at any D.  With vectors, the dense divide-and-conquer
+    ``evd`` runs on a fresh ``h.entries`` and overwrites it with the eigenvectors,
+    which come back in Fortran order (about 3 x 8 D^2 bytes at the peak with LAPACK's
+    workspace).  That route is the test oracle of :func:`windowed_eigenvectors`,
+    which the pipeline uses.  Both return the eigenvalues ascending, so their order
+    is kept as it comes.
 
     Raises
     ------
@@ -93,17 +95,29 @@ def diagonalize(h: HamiltonianMatrix, want_vectors: bool = False) -> EigenDecomp
         With vectors, if D exceeds ``model.MAX_DENSE_DIM``.
     ConvergenceFailure
         If the LAPACK routine does not converge (not expected for this model).
+    RuntimeError
+        If LAPACK reports an illegal argument (``info < 0``).
     """
-    from scipy.linalg import eig_banded, eigh
+    if not want_vectors:
+        ab = np.array(h.band, dtype=float, order="F")  # dsbevd overwrites its band
+        w, z, work = np.empty(h.dim), np.empty(1), np.empty(max(1, 2 * h.dim))
+        iwork, info = np.empty(1, np.intc), np.zeros(1, np.intc)
+        ints = np.array([h.dim, ab.shape[0] - 1, ab.shape[0], 1, work.size], np.intc)
+        n, kd, ldab, one, lwork = (ints.ctypes.data + k * ints.itemsize for k in range(5))
+        flags = np.frombuffer(b"NL", np.uint8)  # jobz: eigenvalues only; uplo: lower band
+        _lapack()[2](flags.ctypes.data, flags.ctypes.data + 1, n, kd, ab.ctypes.data, ldab,
+                     w.ctypes.data, z.ctypes.data, one, work.ctypes.data, lwork,
+                     iwork.ctypes.data, one, info.ctypes.data)
+        _check_arguments(info, "dsbevd")
+        if info[0] > 0:
+            raise ConvergenceFailure(f"eigensolver failed: dsbevd info {info[0]}")
+        return EigenDecomposition(energies=w, vectors=None, basis=h.basis)
+    from scipy.linalg import eigh
     try:
-        if want_vectors:
-            w, v = eigh(h.entries, driver="evd", overwrite_a=True)
-            _fix_phases(v)
-        else:
-            w = eig_banded(h.band, lower=True, eigvals_only=True)
-            v = None
+        w, v = eigh(h.entries, driver="evd", overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
+    _fix_phases(v)
     return EigenDecomposition(energies=w, vectors=v, basis=h.basis)
 
 
@@ -117,11 +131,10 @@ def available_cores() -> int:
 
 @cache
 def _lapack() -> tuple:
-    """(dgbtrf, dgbtrs): the LAPACK routines behind ``scipy.linalg.cython_lapack``,
+    """(dgbtrf, dgbtrs, dsbevd): the LAPACK routines behind ``scipy.linalg.cython_lapack``,
     resolved at the first solve from their capsules as ctypes functions that take every
     argument by address and release the GIL for the length of the call, so that threads
-    factor and solve at once.  scipy's f2py wrappers call the same routines but hold
-    the GIL."""
+    solve at once.  scipy's f2py wrappers call the same routines but hold the GIL."""
     import ctypes
     from scipy.linalg import cython_lapack
     api = ctypes.pythonapi
@@ -134,7 +147,7 @@ def _lapack() -> tuple:
         prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)
         return prototype(pointer(capsule, name(capsule)))
 
-    return routine("dgbtrf", 8), routine("dgbtrs", 11)
+    return routine("dgbtrf", 8), routine("dgbtrs", 11), routine("dsbevd", 14)
 
 
 def _check_arguments(info: np.ndarray, routine: str) -> None:
@@ -191,7 +204,7 @@ def windowed_eigenvectors(band: np.ndarray, energies: np.ndarray, indices: np.nd
         order = np.argsort(band[0], kind="stable")
         vectors[order[indices], np.arange(indices.size)] = 1.0
         return vectors
-    dgbtrf, dgbtrs = _lapack()
+    dgbtrf, dgbtrs, _ = _lapack()
     scale = float(np.max(np.abs(energies)))
     tiny_pivot = np.finfo(float).eps * scale
     tol = CLUSTER_TOL * scale

@@ -4,10 +4,10 @@ Every point, for sweeps and the CLI alike, comes from :func:`compute_point_data`
 (each payload read from the spectrum cache, or made by the library's banded solve,
 windowed_eigenvectors, tail_weights and collect_coefficients and stored) and
 :func:`level_statistics`.  Every sweep row is :func:`compute_point`: a sweep runs it
-in its own process for the points whose cache entries are on disk and in
-spawned worker processes for the rest, and the rows come back in grid order
-(kappa ascending, lambda ascending), so neither the worker count nor the cache
-warmth changes a single output byte.  A failed point turns into a row
+in the calling thread for the points whose cache entries are on disk and in a
+pool of threads of its own process for the rest, and the rows come back in grid
+order (kappa ascending, lambda ascending), so neither the worker count nor the
+cache warmth changes a single output byte.  A failed point turns into a row
 of NaN sentinels plus an entry in the errors sidecar instead of aborting the sweep.
 The config schema and its one reader, :func:`read_config`, live here too: it turns
 a config file, the overrides the CLI's ``--set``, ``--out`` and ``--workers`` make,
@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import json
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import cache as memoize, partial  # `cache` is a SpectrumCache parameter
 from pathlib import Path
@@ -257,7 +256,7 @@ def compute_point(params: ModelParams, fit_degree: int = DEFAULT_FIT_DEGREE,
                   bins: int = DEFAULT_BINS, cache: SpectrumCache | None = None,
                   threads: int | None = None) -> SweepResultRow:
     """All four chaos indicators for a single (kappa, lambda) point: the one maker of
-    sweep rows, in a sweep's own process and in its workers alike.
+    sweep rows, in a sweep's calling thread and in its pool threads alike.
 
     A point whose data cannot be obtained is a NaN row whose ``error`` names why.
     Indicator-level failures (too few levels, empty windows, ...) leave that
@@ -299,13 +298,15 @@ def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
 
     Every row is :func:`compute_point`.  A point whose energies and tail weights
     are on disk, and either its coefficient histogram at ``config.bins`` or the
-    mid-window coefficients it is made from, is computed in this process (a corrupt
-    entry it reads, or a missing histogram, is remade and written here);
-    the rest go to a pool of ``min(workers, misses)`` spawned processes, so an
-    all-hit grid starts none, and each solved row returns to its miss's place.  This
-    process solves in a thread per core, each worker in ``max(1, cores // pool size)``
-    threads, so fewer misses than workers still use every core.  A worker that dies
-    raises ``BrokenProcessPool`` instead of hanging the sweep.
+    mid-window coefficients it is made from, is computed in the calling thread, one
+    after another (a corrupt entry it reads, or a missing histogram, is remade and
+    written there); the rest go to a pool of ``min(workers, misses)`` threads, so an
+    all-hit grid starts none, and each solved row returns to its miss's place.  The
+    LAPACK solves of the pool's points release the GIL and overlap, each in
+    ``max(1, cores // pool size)`` threads, so fewer misses than workers still use
+    every core; the Python and numpy parts of each point share the GIL.  On Ctrl-C
+    the points not yet started are cancelled and the ones in flight finish before
+    KeyboardInterrupt leaves this function.
     """
     points = [replace(config.base, kappa=kappa, lambda_=lam)
               for kappa in config.kappa_grid for lam in config.lambda_grid]
@@ -325,8 +326,7 @@ def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
         return rows
     pool_size = min(config.workers, len(misses))
     threads = max(1, available_cores() // pool_size)
-    with ProcessPoolExecutor(max_workers=pool_size,
-                             mp_context=multiprocessing.get_context("spawn")) as pool:
+    with ThreadPoolExecutor(pool_size) as pool:
         solved = iter(list(pool.map(partial(point, threads=threads), misses)))
     return [row if row is not None else next(solved) for row in rows]
 

@@ -11,11 +11,11 @@ import dicke_chaos
 SRC = str(Path(dicke_chaos.__file__).resolve().parent.parent)
 
 
-def child_env(*paths: str, **variables: str) -> dict[str, str]:
+def child_env(**variables: str) -> dict[str, str]:
     """This process's environment with ``variables`` set, and with the package's source
-    directory, then ``paths``, ahead of the inherited PYTHONPATH."""
+    directory ahead of the inherited PYTHONPATH."""
     return {**os.environ, **variables,
-            "PYTHONPATH": os.pathsep.join([SRC, *paths, os.environ.get("PYTHONPATH", "")])}
+            "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
 
 
 def run_cli(*args, timeout: float = 120, **kwargs) -> subprocess.CompletedProcess:

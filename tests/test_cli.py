@@ -45,7 +45,7 @@ def tree_digest(root):
 
 
 def test_import_leaves_out_scipy_stats_and_optimize():
-    """Every CLI call and sweep worker pays the package's import time."""
+    """Every CLI call pays the package's import time."""
     probe = ("import sys, dicke_chaos.cli; "
              "print(sorted(m for m in ('scipy.stats', 'scipy.optimize') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True,

@@ -1,5 +1,5 @@
 """The command line across processes.  Each call runs ``python -m dicke_chaos.cli`` in a
-fresh process with a timeout, so a hung worker pool fails its test instead of stalling
+fresh process with a timeout, so a hung sweep fails its test instead of stalling
 the suite.  The grid's lambda = kappa = 0 point has no mean_r, so a sweep also writes
 its errors sidecar."""
 
@@ -78,7 +78,7 @@ def test_one_core_and_every_core_write_the_same_bytes(tmp_path, configs):
 
 def test_a_real_pool_heals_a_partial_cache(tmp_path, configs):
     """With every tail_weights entry and the last point's energies deleted, each point goes
-    to a worker of a spawned 2-worker pool, which reads what it can and remakes the rest:
+    to a thread of the sweep's 2-thread pool, which reads what it can and remakes the rest:
     the sweep writes the cold outputs, and every cache entry comes back byte for byte."""
     _, grid = configs
     cache_dir = tmp_path / "cache"

@@ -350,7 +350,7 @@ def test_new_bins_on_a_warm_cache_adds_one_histogram_per_point(tmp_path, monkeyp
     def no_pool(*args, **kwargs):
         raise AssertionError("a warm sweep started a pool")
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(sweep, "ThreadPoolExecutor", no_pool)
     assert sweep_csv("warm", f"cache_dir={cache_dir}", "bins=57") == cold != at_201
     after = {p.name: (p.stat().st_ino, p.read_bytes()) for p in cache_dir.iterdir()}
     assert {name: after[name] for name in entries} == entries
@@ -445,14 +445,14 @@ def test_each_payload_is_read_or_made_by_one_rule(tmp_path, monkeypatch, warm_po
     pools = []
 
     class InlineExecutor(contextlib.nullcontext):
-        def __init__(self, max_workers, mp_context):
+        def __init__(self, max_workers):
             pools.append(max_workers)
             super().__init__(self)
 
         def map(self, fn, misses):
             return map(fn, misses)
 
-    monkeypatch.setattr(sweep, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(sweep, "ThreadPoolExecutor", InlineExecutor)
     config = SweepConfig(base=params, kappa_grid=(params.kappa,), lambda_grid=(params.lambda_,),
                          cache_dir=caches[1].root)
     assert run_sweep(config) == [uncached_row]

@@ -1,11 +1,13 @@
 """Diagonalization, window filtering, convergence checks and the spectrum cache."""
 
+import ctypes
 import itertools
 import math
 import os
 import sys
 import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,6 +166,26 @@ class TestBandedSolve:
             tracemalloc.stop()
         assert h.dim == energies.size == 1369
         assert peak < 8 * h.dim**2
+
+    @pytest.mark.parametrize("params", [
+        ModelParams(lambda_=0.0, kappa=0.6, j=2.5, n_cutoff=9),  # bandwidth 0
+        ModelParams(lambda_=0.7, kappa=0.4, j=1.0, n_cutoff=4),
+        ModelParams(lambda_=0.001, kappa=0.7, j=6.0, n_cutoff=80),  # D = 527, near ties
+        ModelParams(lambda_=1.0, kappa=0.5, j=8.0, n_cutoff=160),  # D = 1369
+    ], ids=["bandwidth 0", "j=1", "near ties", "D=1369"])
+    def test_gil_free_solve_gives_the_bytes_of_eig_banded(self, params):
+        h = build_hamiltonian(params, Parity.EVEN)
+        reference = scipy.linalg.eig_banded(h.band, lower=True, eigvals_only=True)
+        assert diagonalize(h).energies.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("info, error", [(-1, RuntimeError), (1, ConvergenceFailure)])
+    def test_band_solve_raises_on_lapack_info(self, monkeypatch, info, error):
+        def dsbevd(*args):  # its last argument is the address of info
+            ctypes.c_int.from_address(args[-1]).value = info
+
+        monkeypatch.setattr(spectrum, "_lapack", lambda: (None, None, dsbevd))
+        with pytest.raises(error, match="dsbevd"):
+            solve(ModelParams(lambda_=0.7, kappa=0.4, j=1.0, n_cutoff=4))
 
     @pytest.mark.parametrize("j, n_cutoff, sector", SMALL_BLOCKS)
     def test_vector_route_matches_evd_on_a_copy(self, j, n_cutoff, sector):
@@ -632,6 +654,21 @@ class TestSpectrumCache:
         row = compute_point(ModelParams(lambda_=0.9, j=2.0, n_cutoff=20), cache=cache)
         assert row.error == "OSError: disk full" and np.isnan(row.d_kl)
         assert list(tmp_path.iterdir()) == []
+
+    def test_threads_storing_one_key_share_no_temporary_file(self, tmp_path):
+        """Twenty times, four threads at a barrier store one key: no store fails, the entry
+        loads, and no temporary file is left."""
+        cache, p, values = SpectrumCache(tmp_path), ModelParams(j=1.0, n_cutoff=8), np.arange(1e5)
+
+        def store(barrier):
+            barrier.wait()
+            cache.store(p, Parity.EVEN, KIND_ENERGIES, values)
+
+        for _ in range(20):  # list() re-raises a failed store's exception
+            with ThreadPoolExecutor(4) as pool:
+                list(pool.map(store, [threading.Barrier(4, timeout=60)] * 4))
+        assert np.array_equal(cache.load(p, Parity.EVEN, KIND_ENERGIES), values)
+        assert list(tmp_path.glob("*.tmp.*")) == []
 
     def test_empty_array_roundtrip(self, tmp_path):
         cache = SpectrumCache(tmp_path)

@@ -10,9 +10,8 @@ import signal
 import subprocess
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,6 +82,16 @@ def sweep_csv(out, **kwargs):
     return (out / "sweep.csv").read_bytes()
 
 
+def no_processes(*args, **kwargs):
+    """Stands in for ``multiprocessing.get_context`` where a sweep must start no process."""
+    raise AssertionError("a sweep started a process")
+
+
+def no_pool(*args, **kwargs):
+    """Stands in for the sweep's ``ThreadPoolExecutor`` where every point is on disk."""
+    raise AssertionError("a sweep sent a point on disk to its pool")
+
+
 def sweep_config_file(tmp_path, cache_dir, **extra):
     """A CLI config for small_config's grid on the given cache."""
     path = tmp_path / "config.json"
@@ -132,7 +141,7 @@ class TestRunSweep:
         assert all(r.dim == 527 for r in rows)
 
     def test_rows_keep_grid_order_when_points_finish_out_of_order(self, tmp_path):
-        # the first point is solved in a worker; the sweep builds the cached later ones itself
+        # the first point is solved in the pool; the sweep builds the cached later ones itself
         cache = SpectrumCache(tmp_path / "cache")
         for kappa, lam in [(0.0, 0.9), (0.7, 0.2), (0.7, 0.9)]:
             compute_point(replace(BASE, kappa=kappa, lambda_=lam), cache=cache)
@@ -176,8 +185,8 @@ class TestRunSweep:
 
 
 class TestCacheHitsInParent:
-    """A sweep computes the points whose needed entries are on disk itself and spawns
-    workers only for the rest."""
+    """A sweep computes the points whose needed entries are on disk in its calling thread
+    and sends only the rest to its thread pool."""
 
     def test_bytes_independent_of_workers_and_cache_warmth(self, tmp_path):
         csvs = {}
@@ -191,15 +200,11 @@ class TestCacheHitsInParent:
                                                workers=workers, cache_dir=mixed)
         assert len(set(csvs.values())) == 1, sorted(csvs)
 
-    def test_all_hit_sweep_starts_no_process(self, tmp_path, monkeypatch):
-        cache = fill_cache(tmp_path / "cache", GRID)
+    def test_cold_sweep_starts_no_process(self, tmp_path, monkeypatch):
         expected = sweep_csv(tmp_path / "uncached")
 
-        def no_processes(*args, **kwargs):
-            raise AssertionError("an all-hit sweep started a process")
-
         monkeypatch.setattr(multiprocessing, "get_context", no_processes)
-        assert sweep_csv(tmp_path / "warm", workers=2, cache_dir=cache) == expected
+        assert sweep_csv(tmp_path / "cold", workers=2, cache_dir=tmp_path / "cache") == expected
 
     def test_warm_sweep_makes_each_key_once(self, tmp_path, monkeypatch):
         """The test of which points are on disk and the points' own reads share one key
@@ -236,17 +241,17 @@ class TestCacheHitsInParent:
         assert calls == {"_checked_spacings": 12, "split_degenerate": 24, "__post_init__": 14}
 
     @pytest.mark.parametrize("workers, cached, pool_size", [(2, 1, 2), (4, 3, 1)])
-    def test_pool_gets_one_process_per_miss_up_to_workers(self, tmp_path, monkeypatch,
-                                                          workers, cached, pool_size):
+    def test_pool_gets_one_thread_per_miss_up_to_workers(self, tmp_path, monkeypatch,
+                                                         workers, cached, pool_size):
         cache = fill_cache(tmp_path / "cache", GRID[:cached])
         sizes = []
 
-        class SpyExecutor(ProcessPoolExecutor):
-            def __init__(self, max_workers, mp_context):
+        class SpyExecutor(ThreadPoolExecutor):
+            def __init__(self, max_workers):
                 sizes.append(max_workers)
-                super().__init__(max_workers, mp_context=mp_context)
+                super().__init__(max_workers)
 
-        monkeypatch.setattr(dicke_chaos.sweep, "ProcessPoolExecutor", SpyExecutor)
+        monkeypatch.setattr(dicke_chaos.sweep, "ThreadPoolExecutor", SpyExecutor)
         rows = run_sweep(small_config(tmp_path, workers=workers, cache_dir=cache))
         assert sizes == [pool_size]
         assert [(r.kappa, r.lambda_) for r in rows] == GRID
@@ -261,14 +266,14 @@ class TestCacheHitsInParent:
         shares = []
 
         class InlineExecutor(contextlib.nullcontext):
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers):
                 super().__init__(self)
 
             def map(self, fn, misses):
                 shares.append(fn.keywords["threads"])
                 return map(fn, misses)
 
-        monkeypatch.setattr(dicke_chaos.sweep, "ProcessPoolExecutor", InlineExecutor)
+        monkeypatch.setattr(dicke_chaos.sweep, "ThreadPoolExecutor", InlineExecutor)
         monkeypatch.setattr(dicke_chaos.sweep, "available_cores", lambda: cores)
         rows = run_sweep(small_config(tmp_path, workers=workers, cache_dir=cache))
         assert shares == [threads]
@@ -318,11 +323,8 @@ class TestCacheHitsInParent:
         }[corruption]
         path.write_bytes(damaged)
 
-        def no_processes(*args, **kwargs):
-            raise AssertionError("a sweep with every entry on disk started a process")
-
-        # the corrupt entry is on disk, so the sweep's own process heals it
-        monkeypatch.setattr(multiprocessing, "get_context", no_processes)
+        # the corrupt entry is on disk, so the sweep's calling thread heals it
+        monkeypatch.setattr(dicke_chaos.sweep, "ThreadPoolExecutor", no_pool)
         out = tmp_path / "corrupt"
         assert main([*args, str(out)]) == 0
         assert (out / "sweep.csv").read_bytes() == clean
@@ -353,9 +355,6 @@ class TestCacheHitsInParent:
         left = {path.name: (path.stat().st_ino, path.read_bytes())
                 for path in cache_dir.iterdir()}
 
-        def no_processes(*args, **kwargs):
-            raise AssertionError("a warm sweep started a process")
-
         solves = []
 
         def no_solve(*args, **kwargs):
@@ -363,7 +362,7 @@ class TestCacheHitsInParent:
             raise AssertionError("a warm sweep solved for eigenvectors")
 
         with monkeypatch.context() as patched:
-            patched.setattr(multiprocessing, "get_context", no_processes)
+            patched.setattr(dicke_chaos.sweep, "ThreadPoolExecutor", no_pool)
             patched.setattr(dicke_chaos.sweep, "windowed_eigenvectors", no_solve)
             assert main([*args, str(tmp_path / "warm")]) == 0
         assert solves == []
@@ -380,24 +379,18 @@ class TestCacheHitsInParent:
             tmp_path / "bins_cold" / "sweep.csv").read_bytes()
         assert [path.read_bytes() for path in components] == blobs
 
-    def test_killed_worker_fails_the_sweep_instead_of_hanging(self, tmp_path):
-        """A worker that dies mid-point breaks the pool: the sweep exits 2 at once.
-        Rerun on the same cache, the sweep resumes: it writes the bytes of a clean run
-        and rewrites no entry the killed run left, so no finished point is solved again."""
-        cache_dir = tmp_path / "cache"
+    def test_killed_sweep_resumes_without_rewriting_finished_entries(self, tmp_path):
+        """A sweep killed mid-grid resumes when rerun on the same cache: it writes the
+        bytes of a clean run and rewrites no entry the killed run left, so no finished
+        payload is made again.  Temporary files a kill leaves are not entries."""
+        cache_dir, out = tmp_path / "cache", tmp_path / "out"
         config = sweep_config_file(tmp_path, cache_dir, workers=2)
-        run = "import sys, dying_worker; sys.exit(dying_worker.run(sys.argv[1:]))"
-        out = tmp_path / "out"
-        proc = subprocess.run([sys.executable, "-c", run, "sweep", "--config", str(config),
-                               "--out", str(out)],
-                              env=child_env(str(Path(__file__).resolve().parent)),
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 2, proc.stderr
-        assert "BrokenProcessPool" in proc.stderr
+        with running_sweep(config, out, lambda: any(cache_dir.glob("*.spec"))) as proc:
+            proc.kill()
         assert not (out / "sweep.csv").exists()
 
         written = {p.name: p.stat().st_ino for p in cache_dir.glob("*.spec")}
-        assert written  # the dying point is taken only by a worker that finished one
+        assert written
         args = ["sweep", "--config", str(config), "--out"]
         assert main([*args, str(tmp_path / "resumed")]) == 0
         assert main([*args, str(tmp_path / "clean"), "--set", "cache_dir="]) == 0
@@ -405,22 +398,21 @@ class TestCacheHitsInParent:
                 == (tmp_path / "clean" / "sweep.csv").read_bytes())
         assert {name: (cache_dir / name).stat().st_ino for name in written} == written
 
-    def test_interrupted_sweep_exits_130_and_leaves_no_worker(self, tmp_path):
-        """SIGINT while workers solve ends the sweep with exit 130, and its workers go too."""
-        cache_dir = tmp_path / "cache"
+    @pytest.mark.parametrize("terminal", [False, True], ids=["first entry", "terminal"])
+    def test_interrupted_sweep_exits_130_and_leaves_no_process(self, tmp_path, terminal):
+        """SIGINT while the pool solves ends the sweep with exit 130 and one line on stderr,
+        and no process is left: sent to the sweep once its first entry is written, or to
+        its whole process group, as a terminal's Ctrl-C is, 0.1 s after it makes --out."""
+        cache_dir, out = tmp_path / "cache", tmp_path / "out"
         config = sweep_config_file(tmp_path, cache_dir, workers=2, kappa_grid=[0.0, 0.3, 0.7],
                                    lambda_grid=[0.2, 0.5, 0.9, 1.2])
-        out = tmp_path / "out"
-        proc = subprocess.Popen([sys.executable, "-m", "dicke_chaos.cli", "sweep", "--config",
-                                 str(config), "--out", str(out)],
-                                env=child_env(), stderr=subprocess.PIPE, text=True,
-                                start_new_session=True)
-        try:
-            deadline = time.monotonic() + 120
-            while not any(cache_dir.glob("*.spec")):
-                assert proc.poll() is None and time.monotonic() < deadline, proc.returncode
-                time.sleep(0.01)
-            proc.send_signal(signal.SIGINT)
+        ready = out.exists if terminal else lambda: any(cache_dir.glob("*.spec"))
+        with running_sweep(config, out, ready) as proc:
+            if terminal:  # a terminal's Ctrl-C signals the whole foreground process group
+                time.sleep(0.1)
+                os.killpg(proc.pid, signal.SIGINT)
+            else:
+                proc.send_signal(signal.SIGINT)
             _, err = proc.communicate(timeout=60)
             assert proc.returncode == 130, err
             assert err == "error: interrupted\n"
@@ -431,11 +423,28 @@ class TestCacheHitsInParent:
                     os.killpg(proc.pid, 0)
                 except ProcessLookupError:
                     break
-                assert time.monotonic() < deadline, "a worker outlived the interrupted sweep"
+                assert time.monotonic() < deadline, "a process outlived the interrupted sweep"
                 time.sleep(0.05)
-        finally:
-            with contextlib.suppress(ProcessLookupError):
-                os.killpg(proc.pid, signal.SIGKILL)
+
+
+@contextlib.contextmanager
+def running_sweep(config, out, ready):
+    """A CLI sweep in a fresh process that leads its own process group, handed over once
+    ``ready()`` holds, within 120 s and before it exits; the group is killed afterwards."""
+    proc = subprocess.Popen([sys.executable, "-m", "dicke_chaos.cli", "sweep", "--config",
+                             str(config), "--out", str(out)],
+                            env=child_env(), stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
+    try:
+        deadline = time.monotonic() + 120
+        while not ready():
+            assert proc.poll() is None and time.monotonic() < deadline, proc.returncode
+            time.sleep(0.01)
+        yield proc
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
 
 
 class TestCsv:
