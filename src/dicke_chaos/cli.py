@@ -19,7 +19,6 @@ from pathlib import Path
 from .cache import SpectrumCache
 from .eigenstate_stats import binned_kl_divergence, build_histogram
 from .errors import EmptyWindow, NonRectangularGrid, UsageError
-from .spectral_stats import split_degenerate
 from .sweep import (
     SweepConfig,
     _write_text,
@@ -102,12 +101,12 @@ def cmd_spacing(config: SweepConfig, cache) -> list[Path]:
     stats = level_statistics(windowed, config.fit_degree)
     if stats.spacings is None:
         raise stats.errors["unfold"]
-    clean, n_dropped = split_degenerate(stats.spacings)
+    clean = stats.spacings
     spacing_range = (0.0, float(clean.max())) if clean.size else (0.0, 1.0)
     hist = build_histogram(clean, config.bins, value_range=spacing_range)
     return _write_point_histogram(config, "spacing", hist, {
         "eta": stats.eta, "beta": stats.beta,
-        "n_levels": int(windowed.size), "n_degenerate_dropped": n_dropped,
+        "n_levels": int(windowed.size), "n_degenerate_dropped": stats.n_unfolded_dropped,
         "fit_degree": config.fit_degree,
     })
 

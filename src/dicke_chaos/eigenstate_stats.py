@@ -6,7 +6,7 @@ with zero mean and variance 1/D.  The Kullback-Leibler divergence between the
 pooled empirical coefficient distribution of mid-spectrum states and that
 Gaussian quantifies the distance from full chaos.  P(s), P(r) and P(c) are each a
 :class:`Histogram`, bin counts from which the edges and densities derive.
-``scipy.special`` (the Gaussian CDF) is imported at the first D_KL, not with the module.
+The Gaussian CDF is SciPy's compiled ufunc, loaded at the first D_KL without ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateRange, EmptySample, EmptyWindow, MissingVectors
-from .spectrum import SpectralDataset, _window_mask
+from .spectrum import SpectralDataset, _scipy_compiled, _window_mask
 
 DEFAULT_BINS = 201
 #: Fewest histogram bins :func:`kl_divergence` accepts.
@@ -137,7 +137,7 @@ def _log_gaussian_bin_masses(edges: np.ndarray, dim: int) -> np.ndarray:
     upper-tail bin [z_lo, z_hi] has the mass of the lower-tail bin [-z_hi, -z_lo],
     so each bin becomes [a, b], and it lies in a tail exactly when b <= 0.
     """
-    from scipy.special import log_ndtr, ndtr
+    log_ndtr, ndtr = _scipy_compiled("special._special_ufuncs", "scipy.special", "log_ndtr", "ndtr")
     z = edges * np.sqrt(float(dim))
     z_lo, z_hi = z[:-1], z[1:]
     upper = z_lo >= 0.0

@@ -3,8 +3,8 @@
 Implements spectrum unfolding, the nearest-neighbor spacing distribution with
 its Poisson / Wigner-Dyson / Brody references, the eta indicator, adjacent
 spacing ratios with their Poisson / GOE references, and threshold scans that
-extract a chaos boundary lambda*(kappa) from sweep grids.  ``scipy.special`` and
-``numpy.polynomial`` load at their first use, so boundary extraction loads neither.
+extract a chaos boundary lambda*(kappa) from sweep grids.  ``gammaln`` (SciPy's compiled
+ufunc, without ``scipy.special``) and ``numpy.polynomial`` load at their first use.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from .errors import (
     TooFewLevels,
     TooFewSpacings,
 )
+from .spectrum import _scipy_compiled
 
 #: Spacings below this fraction of the mean spacing count as exact degeneracies.
 DEGENERACY_REL_TOL = 1e-10
@@ -47,7 +48,7 @@ def wigner_dyson_pdf(s):
 
 def brody_scale(beta: float) -> float:
     """Rate factor Gamma((beta+2)/(beta+1))**(beta+1) of the Brody density."""
-    from scipy.special import gammaln
+    gammaln, = _scipy_compiled("special._special_ufuncs", "scipy.special", "gammaln")
     b1 = beta + 1.0
     return float(np.exp(gammaln((beta + 2.0) / b1) * b1))
 
@@ -131,14 +132,15 @@ def split_degenerate(spacings) -> tuple[np.ndarray, int]:
     return s[keep], int(s.size - keep.sum())
 
 
-def _checked_spacings(spacings) -> tuple[np.ndarray, int]:
-    """:func:`split_degenerate` of >= MIN_SPACINGS spacings, none negative, not all degenerate."""
+def _checked_spacings(spacings, split=None) -> tuple[np.ndarray, int]:
+    """:func:`split_degenerate` (``split``, if made already) of >= MIN_SPACINGS spacings,
+    none negative, not all degenerate."""
     s = np.asarray(spacings, dtype=float)
     if s.size < MIN_SPACINGS:
         raise TooFewSpacings(f"need at least {MIN_SPACINGS} spacings, got {s.size}")
     if np.any(s < 0):
         raise ValueError("spacings must be non-negative")
-    clean, n_dropped = split_degenerate(s)
+    clean, n_dropped = split or split_degenerate(s)
     if clean.size == 0:
         raise AllDegenerate("all spacings below the degeneracy tolerance")
     return clean, n_dropped

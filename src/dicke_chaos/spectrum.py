@@ -18,13 +18,16 @@ Every E/N window in the package is cut by ``_window_mask``: the analysis window
 here and in ``sweep.compute_point_data``, and the mid window in
 ``eigenstate_stats.collect_coefficients``.  ``tail_weights`` gives each windowed
 state's weight on the top Fock layers, the truncation diagnostic behind a sweep
-row's ``converged_fraction``.  ``scipy.linalg`` is imported at the first solve, so a
-process that only reads cached spectra never loads LAPACK.
+row's ``converged_fraction``.  The first solve loads ``cython_lapack`` alone, without
+the ``scipy.linalg`` package, so a process that only reads cached spectra loads no LAPACK.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import os
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -129,21 +132,45 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
+_load_lock = threading.Lock()  # a second thread executing a module sees it half made or raises
+
+
+@cache
+def _scipy_compiled(module: str, public: str, *names: str) -> tuple:
+    """``names`` of ``scipy.<module>``, from ``sys.modules`` or loaded from its file without
+    the ``scipy.linalg`` or ``scipy.special`` init (0.3 s and 30 MB for the two, mostly the
+    array-API layer); from the module ``public`` if the file or a name is missing (older
+    SciPy).  They are the objects SciPy's public names are bound to, so every bit matches."""
+    import scipy
+    full = f"scipy.{module}"
+    with _load_lock:
+        found = sys.modules.get(full)
+        where = [os.path.join(scipy.__path__[0], module.partition(".")[0])]
+        spec = None if found else importlib.machinery.PathFinder.find_spec(full, where)
+        if spec is not None:
+            found = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(found)
+            sys.modules[full] = found  # as an import would: later imports reuse it
+        if not all(hasattr(found, name) for name in names):
+            found = importlib.import_module(public)
+    return tuple(getattr(found, name) for name in names)
+
+
 @cache
 def _lapack() -> tuple:
-    """(dgbtrf, dgbtrs, dsbevd): the LAPACK routines behind ``scipy.linalg.cython_lapack``,
-    resolved at the first solve from their capsules as ctypes functions that take every
-    argument by address and release the GIL for the length of the call, so that threads
-    solve at once.  scipy's f2py wrappers call the same routines but hold the GIL."""
+    """(dgbtrf, dgbtrs, dsbevd) of ``scipy.linalg.cython_lapack``, loaded alone at the
+    first solve, as ctypes functions of their capsules that take every argument by address
+    and release the GIL for the length of the call, so that threads solve at once.
+    scipy's f2py wrappers call the same routines but hold the GIL."""
     import ctypes
-    from scipy.linalg import cython_lapack
+    capi, = _scipy_compiled("linalg.cython_lapack", "scipy.linalg.cython_lapack", "__pyx_capi__")
     api = ctypes.pythonapi
     name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(("PyCapsule_GetName", api))
     pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
         ("PyCapsule_GetPointer", api))
 
     def routine(symbol: str, n_args: int):
-        capsule = cython_lapack.__pyx_capi__[symbol]
+        capsule = capi[symbol]
         prototype = ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * n_args)
         return prototype(pointer(capsule, name(capsule)))
 

@@ -222,7 +222,8 @@ class LevelStatistics:
     stays NaN or None, and ``errors`` keeps why under "unfold", "eta", "beta" or "mean_r"."""
 
     n_degenerate_dropped: int                 # raw spacings below the degeneracy tolerance
-    spacings: np.ndarray | None = None        # unfolded
+    spacings: np.ndarray | None = None        # unfolded, those below the tolerance dropped
+    n_unfolded_dropped: int = 0               # unfolded spacings below the tolerance
     ratios: np.ndarray | None = None
     n_dropped_pairs: int = 0
     eta: float = math.nan
@@ -235,13 +236,14 @@ def level_statistics(windowed: np.ndarray, fit_degree: int) -> LevelStatistics:
     """Eta, Brody beta and <r> of a windowed spectrum, for sweeps and point commands alike."""
     stats = LevelStatistics(split_degenerate(np.diff(windowed))[1])
     try:
-        stats.spacings = unfold(windowed, fit_degree).spacings
+        unfolded = unfold(windowed, fit_degree).spacings
     except DickeChaosError as exc:
         stats.errors["unfold"] = exc
-    else:
+    else:  # kept when the check fails: the spacing histogram is made of them
+        stats.spacings, stats.n_unfolded_dropped = split_degenerate(unfolded)
         try:  # one check of the unfolded spacings serves eta and beta
-            clean, _ = _checked_spacings(stats.spacings)
-            stats.eta, stats.beta = _eta(clean), _brody_beta(clean)
+            _checked_spacings(unfolded, (stats.spacings, stats.n_unfolded_dropped))
+            stats.eta, stats.beta = _eta(stats.spacings), _brody_beta(stats.spacings)
         except DickeChaosError as exc:
             stats.errors["eta"] = stats.errors["beta"] = exc
     try:

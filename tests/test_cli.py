@@ -1,7 +1,9 @@
 """Command-line interface: subcommands, overrides, exit codes, determinism."""
 
+import collections
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +11,20 @@ from pathlib import Path
 import pytest
 
 import dicke_chaos.cli as cli
+import dicke_chaos.spectral_stats
+import dicke_chaos.sweep
 from dicke_chaos.cli import main
-from dicke_chaos.eigenstate_stats import DEFAULT_BINS
-from dicke_chaos.sweep import SweepResultRow, read_csv, write_csv
+from dicke_chaos.eigenstate_stats import DEFAULT_BINS, build_histogram
+from dicke_chaos.errors import TooFewSpacings
+from dicke_chaos.spectral_stats import eta_indicator, fit_brody, split_degenerate, unfold
+from dicke_chaos.sweep import (
+    SweepResultRow,
+    compute_point_data,
+    read_config,
+    read_csv,
+    write_csv,
+    write_histogram,
+)
 
 from child_process import child_env
 from histogram_io import read_histogram
@@ -77,6 +90,47 @@ print(json.dumps(seen))
     assert json.loads(out.stdout.splitlines()[-1]) == [[], [], []]
     assert (tmp_path / "out" / "spectrum_0_0.3.csv").exists()
     assert len(list(cache.iterdir())) == 16  # the sweep's 4 points x 4 entries: a cache hit
+
+
+def test_solves_and_fits_load_only_scipys_compiled_modules(config_path, tmp_path):
+    """A cold eigstats (band solve, inverse iteration, D_KL) and then a warm sweep (Brody
+    fits, D_KL) write their usual bytes in a fresh process that loads SciPy's compiled
+    cython_lapack and _special_ufuncs but never the scipy.linalg or scipy.special package;
+    importing the CLI loads no SciPy module at all."""
+    cache, point = tmp_path / "cache", ["--set", "kappa=0.25", "--set", "lambda=0.9"]
+    assert main(["sweep", "--config", str(config_path), "--set", f"cache_dir={cache}"]) == 0
+    assert main(["eigstats", "--config", str(config_path), "--out", str(tmp_path / "ref"),
+                 *point]) == 0
+    entries = len(list(cache.iterdir()))
+    env = child_env()
+    env.pop("DICKE_CHAOS_CACHE_DIR", None)
+    args = ["--config", str(config_path), "--out", str(tmp_path / "child"),
+            "--set", f"cache_dir={cache}"]
+    probe = f"""
+import json, os, sys
+import dicke_chaos.cli as cli
+def loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+seen = [loaded()]
+assert cli.main(["eigstats", *{args!r}, *{point!r}]) == 0
+seen.append(loaded())
+entries = len(os.listdir({str(cache)!r}))
+assert cli.main(["sweep", *{args!r}]) == 0
+seen.append(loaded())
+print(json.dumps([seen, entries]))
+"""
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    seen, after_eigstats = json.loads(out.stdout.splitlines()[-1])
+    assert seen[0] == []
+    for modules in seen[1:]:
+        assert {"scipy.linalg.cython_lapack", "scipy.special._special_ufuncs"} <= set(modules)
+        assert not {"scipy.linalg", "scipy.special"} & set(modules)
+    assert after_eigstats > entries == 16  # eigstats solved its point cold ...
+    assert len(list(cache.iterdir())) == after_eigstats  # ... and the sweep hit every entry
+    for name in ("hist_coeff_0.25_0.9.json", "sweep.csv"):
+        ref = tmp_path / ("ref" if name.startswith("hist") else "out") / name
+        assert (tmp_path / "child" / name).read_bytes() == ref.read_bytes()
 
 
 def configured(monkeypatch, *args):
@@ -430,6 +484,44 @@ class TestPointCommands:
         assert 0.0 <= meta["beta"] <= 1.0
         assert meta["n_levels"] > 200
         assert sum(hist.counts) > 0
+
+    @pytest.mark.parametrize("overrides", [
+        [("lambda", 0.9)],                              # eta and beta fitted
+        [("lambda", 0.0)],                              # 264 unfolded spacings degenerate
+        [("lambda", 0.9), ("energy_window", [1.0, 1.5])],  # 38 spacings: too few to fit
+    ], ids=["chaotic", "degenerate", "too-few"])
+    def test_spacing_splits_its_unfolded_spacings_once(self, config_path, tmp_path,
+                                                       monkeypatch, overrides):
+        """One spacing call splits the degenerate spacings from the raw and then from the
+        unfolded spacings, once each, and writes the bytes of unfold, split_degenerate,
+        eta_indicator and fit_brody, even where too few spacings leave eta and beta null."""
+        overrides = [("kappa", 0.0), *overrides]
+        config = read_config(config_path, overrides)
+        windowed = compute_point_data(config.base, want_vectors=False).windowed
+        spacings = unfold(windowed, config.fit_degree).spacings
+        clean, n_dropped = split_degenerate(spacings)
+        try:
+            eta, beta = eta_indicator(spacings), fit_brody(spacings)[0]
+        except TooFewSpacings:
+            eta = beta = math.nan
+        hist = build_histogram(clean, config.bins,
+                               value_range=(0.0, float(clean.max()) if clean.size else 1.0))
+        name = f"hist_spacing_0_{format(config.base.lambda_, 'g')}.json"
+        write_histogram(hist, tmp_path / name, {
+            "kappa": 0.0, "lambda": config.base.lambda_, "eta": eta, "beta": beta,
+            "n_levels": int(windowed.size), "n_degenerate_dropped": n_dropped,
+            "fit_degree": config.fit_degree})
+        calls = collections.Counter()
+        for module in (dicke_chaos.spectral_stats, dicke_chaos.sweep, cli):
+            if hasattr(module, "split_degenerate"):
+                inner = module.split_degenerate
+                monkeypatch.setattr(module, "split_degenerate", lambda s, inner=inner: (
+                    calls.update(["split_degenerate"]) or inner(s)))
+        sets = [arg for key, value in overrides for arg in ("--set", f"{key}={json.dumps(value)}")]
+        assert main(["spacing", "--config", str(config_path), *sets]) == 0
+        assert calls == {"split_degenerate": 2}
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / name).read_bytes()
+        assert math.isnan(eta) == (overrides[-1][0] == "energy_window")
 
     def test_ratio_on_integer_spectrum_reports_degeneracies(self, config_path, tmp_path):
         # lambda = kappa = 0: the {n+m} spectrum is massively degenerate

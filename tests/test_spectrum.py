@@ -2,8 +2,10 @@
 
 import ctypes
 import itertools
+import json
 import math
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -35,6 +37,8 @@ from dicke_chaos.cache import KIND_ENERGIES, KIND_MID_COEFFS, KIND_MID_HISTOGRAM
 from dicke_chaos.errors import CacheFormatError, ConvergenceFailure, EmptyWindow, MissingVectors
 from dicke_chaos.spectrum import (CLUSTER_TOL, DEFAULT_TAIL_TOL, _fix_phases, _slice_bounds,
                                   _window_mask, tail_weights)
+
+from child_process import child_env
 
 
 def solve(params, sector=Parity.EVEN, want_vectors=False):
@@ -209,6 +213,107 @@ class TestBandedSolve:
                 == {**mid, "kind": KIND_MID_HISTOGRAM, "bins": 57})
         with pytest.raises(ValueError, match="bins"):
             cache_key(p, Parity.EVEN, KIND_MID_HISTOGRAM)
+
+
+def run_probe(code: str) -> dict:
+    """The JSON object a fresh Python process running ``code`` prints last."""
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
+                         text=True, check=True, timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+#: Imports of a probe that loads SciPy's compiled modules through the package.
+LOADERS = """
+import ctypes, json, sys, threading
+import numpy as np
+from dicke_chaos.eigenstate_stats import _log_gaussian_bin_masses
+from dicke_chaos.spectral_stats import brody_scale
+from dicke_chaos.spectrum import _lapack, _scipy_compiled
+def packages():
+    return sorted(m for m in ("scipy.linalg", "scipy.special") if m in sys.modules)
+def address(routine):
+    return ctypes.cast(routine, ctypes.c_void_p).value
+"""
+
+
+class TestScipyCompiled:
+    """LAPACK pointers and ufuncs come from SciPy's compiled modules, without the
+    ``scipy.linalg`` and ``scipy.special`` package inits, and are SciPy's own objects."""
+
+    UFUNCS = ("gammaln", "ndtr", "log_ndtr")
+
+    def test_loaded_objects_are_scipys_public_ones(self):
+        found = run_probe(LOADERS + f"""
+routines = _lapack()
+brody_scale(0.5), _log_gaussian_bin_masses(np.linspace(-0.1, 0.1, 11), 100)
+before = packages()
+ufuncs = _scipy_compiled("special._special_ufuncs", "scipy.special", *{self.UFUNCS!r})
+import scipy.special
+from scipy.linalg import cython_lapack
+api = ctypes.pythonapi
+api.PyCapsule_GetName.restype, api.PyCapsule_GetName.argtypes = ctypes.c_char_p, [ctypes.py_object]
+api.PyCapsule_GetPointer.restype = ctypes.c_void_p
+api.PyCapsule_GetPointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+capsules = [cython_lapack.__pyx_capi__[name] for name in ("dgbtrf", "dgbtrs", "dsbevd")]
+print(json.dumps({{
+    "before": before,
+    "ufuncs": [u is getattr(scipy.special, n) for u, n in zip(ufuncs, {self.UFUNCS!r})],
+    "pointers": [address(r) == api.PyCapsule_GetPointer(c, api.PyCapsule_GetName(c))
+                 for r, c in zip(routines, capsules)],
+}}))
+""")
+        assert found == {"before": [], "ufuncs": [True] * 3, "pointers": [True] * 3}
+
+    def test_a_name_the_compiled_module_lacks_comes_from_the_public_module(self):
+        import scipy.special
+        assert not hasattr(sys.modules["scipy.special._special_ufuncs"], "softmax")
+        found = spectrum._scipy_compiled("special._special_ufuncs", "scipy.special", "softmax")
+        assert found == (scipy.special.softmax,)
+
+    def test_fallback_to_the_public_modules_gives_the_same_bits(self, tmp_path):
+        """With the file lookup pointed at an empty directory, the public modules serve
+        the band solve, inverse iteration, Brody fit and D_KL with the same bits."""
+        point = """
+import hashlib
+from dicke_chaos import ModelParams, Parity, build_hamiltonian, compute_point, diagonalize
+params = ModelParams(lambda_=0.9, kappa=0.5, j=6.0, n_cutoff=80)
+energies = diagonalize(build_hamiltonian(params, Parity.EVEN)).energies
+row = compute_point(params)
+print(json.dumps({"packages": packages(), "energies": hashlib.sha256(energies).hexdigest(),
+                  "bits": [row.eta.hex(), row.beta.hex(), row.d_kl.hex(), row.error]}))
+"""
+        missing = f"import scipy\nscipy.__path__.insert(0, {str(tmp_path)!r})\n"
+        direct, fallback = run_probe(LOADERS + point), run_probe(missing + LOADERS + point)
+        assert (direct.pop("packages"), fallback.pop("packages")) == (
+            [], ["scipy.linalg", "scipy.special"])
+        assert fallback == direct and direct["bits"][3] is None
+
+    def test_threads_making_the_first_load_together_load_one_module(self):
+        """4 threads at a barrier make a fresh process's first solve, Brody scale and
+        Gaussian bin masses; a Cython module executed twice at once would raise."""
+        probe = LOADERS + """
+sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+barrier, seen, errors = threading.Barrier(4, timeout=60), [], []
+def first_load():
+    barrier.wait()
+    try:
+        seen.append((tuple(map(address, _lapack())), brody_scale(0.5),
+                     _log_gaussian_bin_masses(np.linspace(-0.1, 0.1, 11), 100).tobytes()))
+    except Exception as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=first_load) for _ in range(4)]
+for thread in threads:
+    thread.start()
+for thread in threads:
+    thread.join(60)
+capi, = _scipy_compiled("linalg.cython_lapack", "scipy.linalg.cython_lapack", "__pyx_capi__")
+print(json.dumps({"errors": errors, "results": [len(seen), len(set(seen))],
+                  "alive": sum(thread.is_alive() for thread in threads), "packages": packages(),
+                  "one module": sys.modules["scipy.linalg.cython_lapack"].__pyx_capi__ is capi}))
+"""
+        for _ in range(20):
+            assert run_probe(probe) == {"errors": [], "results": [4, 1], "alive": 0,
+                                        "packages": [], "one module": True}
 
 
 @dataclass
