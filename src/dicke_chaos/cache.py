@@ -14,18 +14,22 @@ and writes; a point with vectors adds its tail weights, its pooled mid-window
 coefficients and, per bin count, those coefficients' histogram
 (``[n_states, c_min, c_max, counts...]``), which is all a warm D_KL reads of them.
 One rule governs every entry: a run reads each payload it needs, and only when the
-entry is missing or malformed (CacheFormatError on load: truncated, or with a
-mangled key, say) makes the payload and stores it, replacing the bad entry.  So
-the coefficients are read only to make a missing histogram, and deleting their
-entries costs a vector solve only when one is made.  Each entry is written whole
-to a per-thread temporary file and moved into place by an atomic rename, so threads
-and processes can share one directory and a reader never sees a partial write.
+entry is unusable (missing, unreadable, or failing its magic, version, key or length
+check: ``load`` returns None for each) makes the payload and stores it, replacing
+the entry.  So the coefficients are read only to make a missing histogram, and
+deleting their entries costs a vector solve only when one is made.  Each entry is
+written whole to a per-thread temporary file and moved into place by an atomic
+rename, so threads and processes can share one directory and a reader never sees a
+partial write.  A write that fails with an OSError (a full disk, say) is skipped with
+one logged warning and the cache stores nothing more, so no cache fault changes an
+output byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import os
 import struct
 import threading
@@ -33,9 +37,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CacheFormatError
 from .model import ModelParams, Parity
 from .spectrum import SOLVER
+
+_log = logging.getLogger(__name__)
 
 MAGIC = b"DKCHSPC1"
 VERSION = 1
@@ -47,7 +52,7 @@ KIND_TAIL_WEIGHTS = "tail_weights"  # per-windowed-state Fock-tail weights
 KIND_MID_HISTOGRAM = "mid_histogram"  # bin counts of the mid-window coefficients
 
 
-def cache_key(params: ModelParams, sector: Parity | None, kind: str,
+def cache_key(params: ModelParams, sector: Parity, kind: str,
               tail_width: int | None = None, bins: int | None = None) -> dict:
     """Canonical key document for one payload.
 
@@ -64,7 +69,7 @@ def cache_key(params: ModelParams, sector: Parity | None, kind: str,
         "kappa": float(params.kappa),
         "j": float(params.j),
         "n_cutoff": int(params.n_cutoff),
-        "sector": sector.value if sector is not None else "full",
+        "sector": sector.value,
     }
     if kind in (KIND_MID_COEFFS, KIND_MID_HISTOGRAM):
         doc["mid_window"] = [float(x) for x in params.mid_window]
@@ -88,13 +93,15 @@ class SpectrumCache:
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
         self._entries: dict[tuple, tuple[bytes, Path]] = {}  # _entry's memo
+        self._lock = threading.Lock()
+        self._write_failed = False  # set by the first failed store; later stores do nothing
 
-    def path(self, params: ModelParams, sector: Parity | None, kind: str,
+    def path(self, params: ModelParams, sector: Parity, kind: str,
              tail_width: int | None = None, bins: int | None = None) -> Path:
         """The file the payload of this key lives in, whether or not it exists."""
         return self._entry(params, sector, kind, tail_width, bins)[1]
 
-    def _entry(self, params: ModelParams, sector: Parity | None, kind: str,
+    def _entry(self, params: ModelParams, sector: Parity, kind: str,
                tail_width: int | None, bins: int | None) -> tuple[bytes, Path]:
         """The key document as canonical UTF-8 JSON, and the file named by its hash; made once per
         cache object, memoized on ``repr(params)``, which tells -0.0 from 0.0 as == does not."""
@@ -105,44 +112,36 @@ class SpectrumCache:
             entry = self._entries[memo] = key, self.root / f"{hashlib.sha256(key).hexdigest()}.spec"
         return entry
 
-    def load(self, params: ModelParams, sector: Parity | None, kind: str,
+    def load(self, params: ModelParams, sector: Parity, kind: str,
              tail_width: int | None = None, bins: int | None = None) -> np.ndarray | None:
-        """Return the cached array, or None on a miss.
-
-        Raises
-        ------
-        CacheFormatError
-            If an existing file has the wrong magic, version, key or length.
-        """
+        """Return the cached array, or None if the entry is missing, cannot be read, or
+        fails its magic, version, key or length check: the caller makes the payload."""
         key, path = self._entry(params, sector, kind, tail_width, bins)
         try:
-            fh = open(path, "rb")
-        except FileNotFoundError:
+            blob = path.read_bytes()
+        except OSError:
             return None
-        with fh:
-            head = fh.read(len(MAGIC) + 8)
-            if len(head) < len(MAGIC) + 8 or head[: len(MAGIC)] != MAGIC:
-                raise CacheFormatError(f"{path}: bad magic")
-            version, keylen = struct.unpack_from("<II", head, len(MAGIC))
-            if version != VERSION:
-                raise CacheFormatError(f"{path}: unsupported version {version}")
-            if fh.read(keylen) != key:
-                raise CacheFormatError(f"{path}: key mismatch")
-            count = int.from_bytes(fh.read(8), "little")
-            # the payload's offset: a file cut inside the count field is shorter, and fails too
-            size, off = os.fstat(fh.fileno()).st_size, len(MAGIC) + 16 + keylen
-            if size != off + 8 * count:
-                raise CacheFormatError(
-                    f"{path}: truncated or over-long ({size} bytes, expected {off + 8 * count})"
-                )
-            return np.frombuffer(fh.read(8 * count), dtype="<f8").astype(np.float64)
+        head = len(MAGIC) + 8
+        if len(blob) < head or blob[: len(MAGIC)] != MAGIC:
+            return None
+        version, keylen = struct.unpack_from("<II", blob, len(MAGIC))
+        off = head + keylen + 8  # the payload's offset, after the key and the count
+        if version != VERSION or blob[head: head + keylen] != key:
+            return None
+        if len(blob) != off + 8 * int.from_bytes(blob[off - 8: off], "little"):
+            return None  # truncated (inside the count, too) or over-long
+        return np.frombuffer(blob, dtype="<f8", offset=off).astype(np.float64)
 
-    def store(self, params: ModelParams, sector: Parity | None, kind: str,
+    def store(self, params: ModelParams, sector: Parity, kind: str,
               values: np.ndarray, tail_width: int | None = None,
               bins: int | None = None) -> None:
         """Write one payload through an atomic rename, replacing any entry already there
-        (it is only called after a miss, so that entry was malformed).  If the write
-        or the rename fails, the temporary file is removed and the error re-raised."""
+        (it is only called after a miss, so that entry was unusable).  If the write or the
+        rename fails, the temporary file is removed.  An OSError is then skipped: the first
+        is logged as one warning naming the cache directory, and every later store of this
+        cache does nothing.  Any other exception (KeyboardInterrupt, say) propagates."""
+        if self._write_failed:
+            return
         key, path = self._entry(params, sector, kind, tail_width, bins)
         arr = np.ascontiguousarray(values, dtype="<f8")
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
@@ -154,6 +153,10 @@ class SpectrumCache:
                 fh.write(struct.pack("<Q", arr.size))
                 fh.write(arr.tobytes())
             os.replace(tmp, path)
-        except BaseException:
-            tmp.unlink(missing_ok=True)
-            raise
+        except OSError as exc:
+            with self._lock:
+                first, self._write_failed = not self._write_failed, True
+            if first:
+                _log.warning("spectrum cache %s not written: %s", self.root, exc)
+        finally:
+            tmp.unlink(missing_ok=True)  # a no-op after the rename

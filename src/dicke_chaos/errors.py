@@ -62,9 +62,5 @@ class OutputUnwritable(DickeChaosError):
     """An output file or directory could not be written."""
 
 
-class CacheFormatError(DickeChaosError):
-    """A spectrum cache file is malformed or has the wrong version."""
-
-
 class UsageError(DickeChaosError):
     """Bad command-line arguments or configuration keys."""

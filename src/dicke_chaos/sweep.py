@@ -39,7 +39,7 @@ from .eigenstate_stats import (
     binned_kl_divergence,
     collect_coefficients,
 )
-from .errors import CacheFormatError, DickeChaosError, EmptyWindow, OutputUnwritable, UsageError
+from .errors import DickeChaosError, EmptyWindow, OutputUnwritable, UsageError
 from .model import ModelParams, Parity, build_hamiltonian, check_coupling
 from .spectral_stats import (
     DEFAULT_FIT_DEGREE,
@@ -161,12 +161,12 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
                        threads: int | None = None) -> PointData:
     """Obtain the spectrum (and, if wanted, eigenvector summaries) for one point.
 
-    One rule for every payload: read its cache entry; if that is missing or
-    malformed, make the payload and store it.  Payloads are made only when read, so
-    the pooled mid-window coefficients are read only to make a missing histogram in
-    ``bins`` bins, and solved only when both are missing.  The even-parity block is
-    built at most once, for a missing payload that needs it.  Its band solve gives the
-    eigenvalues, stored before :func:`windowed_eigenvectors` solves the window's
+    One rule for every payload: read its cache entry; if that is unusable (missing,
+    unreadable or malformed), make the payload and store it.  Payloads are made only
+    when read, so the pooled mid-window coefficients are read only to make a missing
+    histogram in ``bins`` bins, and solved only when both are missing.  The even-parity
+    block is built at most once, for a missing payload that needs it.  Its band solve
+    gives the eigenvalues, stored before :func:`windowed_eigenvectors` solves the window's
     vectors from them, cached or fresh, in ``threads`` threads (default: every
     available core), making no D x D matrix.  Cached payloads are exact float64 copies,
     so a warm run reproduces a cold run bit for bit; empty windows store empty arrays.
@@ -174,13 +174,9 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
     sector = Parity.EVEN
 
     def cached(kind: str, make) -> np.ndarray:
-        values = None
-        if cache is not None:
-            try:
-                values = cache.load(params, sector, kind, DEFAULT_TAIL_WIDTH, bins)
-            except CacheFormatError:
-                pass  # a malformed entry is a miss; the store below replaces it
-        if values is None:
+        values = None if cache is None else cache.load(params, sector, kind,
+                                                       DEFAULT_TAIL_WIDTH, bins)
+        if values is None:  # an unusable entry is a miss; the store below replaces it
             values = make()
             if cache is not None:
                 cache.store(params, sector, kind, values, DEFAULT_TAIL_WIDTH, bins)
@@ -317,7 +313,8 @@ def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
 
     def on_disk(params: ModelParams) -> bool:
         def exists(kind: str) -> bool:
-            return cache.path(params, Parity.EVEN, kind, DEFAULT_TAIL_WIDTH, config.bins).exists()
+            return os.path.exists(  # False, not an error, for an entry it cannot stat
+                cache.path(params, Parity.EVEN, kind, DEFAULT_TAIL_WIDTH, config.bins))
 
         return cache is not None and exists(KIND_ENERGIES) and exists(KIND_TAIL_WEIGHTS) and (
             exists(KIND_MID_HISTOGRAM) or exists(KIND_MID_COEFFS))

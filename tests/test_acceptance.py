@@ -7,6 +7,7 @@ the whole suite finishes in a few minutes on a two-core machine.
 
 import functools
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -36,7 +37,7 @@ from dicke_chaos import (
 )
 from dicke_chaos.cache import KIND_MID_COEFFS
 from dicke_chaos.eigenstate_stats import CoefficientSample
-from dicke_chaos.spectrum import DEFAULT_TAIL_TOL
+from dicke_chaos.spectrum import DEFAULT_TAIL_TOL, available_cores
 from dicke_chaos.sweep import compute_point_data
 from dataclasses import replace
 from scipy import integrate
@@ -65,20 +66,24 @@ def criterion(label):
 
 @pytest.fixture(scope="module")
 def indicator_scan():
-    """eta/beta/<r> over the (kappa, lambda) scan grid, eigenvalues only."""
-    rows = {}
+    """eta/beta/<r> over the (kappa, lambda) scan grid, eigenvalues only.  The points are
+    independent and their band solves release the GIL, so they run in a thread per core."""
+    def indicators(point):
+        kappa, lam = point
+        params = ModelParams(lambda_=lam, kappa=kappa, **FULL_SCALE)
+        windowed = compute_point_data(params, want_vectors=False).windowed
+        spacings = unfold(windowed, fit_degree=10).spacings
+        ratios, _ = spacing_ratios(windowed)
+        return {
+            "eta": eta_indicator(spacings),
+            "beta": fit_brody(spacings)[0],
+            "mean_r": mean_ratio(ratios),
+        }
+
+    points = [(kappa, lam) for kappa in SCAN_KAPPAS for lam in SCAN_LAMBDAS]
     start = time.time()
-    for kappa in SCAN_KAPPAS:
-        for lam in SCAN_LAMBDAS:
-            params = ModelParams(lambda_=lam, kappa=kappa, **FULL_SCALE)
-            windowed = compute_point_data(params, want_vectors=False).windowed
-            spacings = unfold(windowed, fit_degree=10).spacings
-            ratios, _ = spacing_ratios(windowed)
-            rows[(kappa, lam)] = {
-                "eta": eta_indicator(spacings),
-                "beta": fit_brody(spacings)[0],
-                "mean_r": mean_ratio(ratios),
-            }
+    with ThreadPoolExecutor(available_cores()) as pool:
+        rows = dict(zip(points, pool.map(indicators, points)))
     rows["elapsed"] = time.time() - start
     return rows
 
@@ -86,11 +91,12 @@ def indicator_scan():
 @pytest.fixture(scope="module")
 def eigenvector_runs(tmp_path_factory):
     """Vector-resolved runs at the production cutoff, plus an eigenvalue-only
-    cross-check 40 Fock layers higher, at lambda = 0.1 and 1.0 (kappa = 0).  The
-    pooled components come from the run's cache entry."""
+    cross-check 40 Fock layers higher, at lambda = 0.1 and 1.0 (kappa = 0), the two
+    lambdas in a thread each, as in indicator_scan.  The pooled components come from
+    the run's cache entry."""
     cache = SpectrumCache(tmp_path_factory.mktemp("eigenvector_runs"))
-    out = {}
-    for lam in (0.1, 1.0):
+
+    def run(lam):
         params = ModelParams(lambda_=lam, kappa=0.0, **FULL_SCALE)
         data = compute_point_data(params, cache)
         sample = CoefficientSample.pool(cache.load(params, Parity.EVEN, KIND_MID_COEFFS),
@@ -98,7 +104,7 @@ def eigenvector_runs(tmp_path_factory):
         hi = compute_point_data(replace(params, n_cutoff=params.n_cutoff + 40),
                                 want_vectors=False)
         flags = data.tail < DEFAULT_TAIL_TOL
-        out[lam] = {
+        return {
             "d_kl": kl_divergence(sample, bins=201),
             "pooled_variance": float(np.var(sample.values)),
             "dim": sample.dim,
@@ -109,7 +115,10 @@ def eigenvector_runs(tmp_path_factory):
             "e0": float(data.energies[0]),
             "e0_hi": float(hi.energies[0]),
         }
-    return out
+
+    lambdas = (0.1, 1.0)
+    with ThreadPoolExecutor(available_cores()) as pool:
+        return dict(zip(lambdas, pool.map(run, lambdas)))
 
 
 @criterion("criterion 1 (analytic-limit equivalences)")

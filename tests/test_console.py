@@ -16,7 +16,7 @@ from dicke_chaos import Parity, SpectrumCache
 from dicke_chaos.cache import KIND_ENERGIES, KIND_TAIL_WEIGHTS
 from dicke_chaos.cli import main
 from dicke_chaos.spectrum import DEFAULT_TAIL_WIDTH
-from dicke_chaos.sweep import read_config
+from dicke_chaos.sweep import CACHE_ENV_VAR, read_config
 
 from child_process import child_env, run_cli
 from histogram_io import read_strict_json
@@ -117,3 +117,40 @@ def test_in_process_calls_write_what_fresh_processes_write(tmp_path, configs):
     assert files(one) == files(tmp_path / "fresh_plain")
     # on this grid eta_max=0.2 moves the eta boundary, so the two sets are told apart
     assert files(one)["boundary_eta.csv"] != files(tmp_path / "one_eta02")["boundary_eta.csv"]
+
+
+#: ``python -c`` runs this, then the CLI on its arguments: every rename of a cache store
+#: fails with ENOSPC once two threads are at one, so two pool threads fail at once.
+FULL_DISK = """
+import errno, os, runpy, threading
+both = threading.Barrier(2, timeout=60)
+def refuse(src, dst):
+    both.wait()
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+os.replace = refuse
+runpy.run_module("dicke_chaos.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+def test_a_full_disk_costs_one_stderr_line_and_no_byte(tmp_path, configs):
+    """A cold two-thread sweep whose cache stores all fail, in two pool threads at once,
+    exits 0, writes a no-cache sweep's files, leaves the cache empty and prints one
+    stderr line naming the cache directory and the error."""
+    _, grid = configs
+
+    def sweep(launcher, out, cache_dir):
+        proc = subprocess.run([sys.executable, *launcher, "sweep", "--config", str(grid),
+                               "--workers", "2", "--out", str(out),
+                               "--set", f"cache_dir={cache_dir}"],
+                              env=child_env(**{CACHE_ENV_VAR: ""}), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    sweep(["-m", "dicke_chaos.cli"], tmp_path / "no_cache", "")
+    cache_dir = tmp_path / "cache"
+    proc = sweep(["-c", FULL_DISK], tmp_path / "full", cache_dir)
+    assert proc.stderr.splitlines() == [
+        f"spectrum cache {cache_dir} not written: [Errno 28] No space left on device"]
+    assert files(tmp_path / "full") == files(tmp_path / "no_cache")
+    assert list(cache_dir.iterdir()) == []

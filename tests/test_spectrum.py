@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import struct
 import subprocess
 import sys
 import threading
@@ -33,10 +34,13 @@ from dicke_chaos import (
     kl_divergence,
     windowed_eigenvectors,
 )
-from dicke_chaos.cache import KIND_ENERGIES, KIND_MID_COEFFS, KIND_MID_HISTOGRAM, cache_key
-from dicke_chaos.errors import CacheFormatError, ConvergenceFailure, EmptyWindow, MissingVectors
-from dicke_chaos.spectrum import (CLUSTER_TOL, DEFAULT_TAIL_TOL, _fix_phases, _slice_bounds,
-                                  _window_mask, tail_weights)
+from dicke_chaos.cache import (KIND_ENERGIES, KIND_MID_COEFFS, KIND_MID_HISTOGRAM,
+                               KIND_TAIL_WEIGHTS, VERSION, cache_key)
+from dicke_chaos.eigenstate_stats import DEFAULT_BINS
+from dicke_chaos.errors import ConvergenceFailure, EmptyWindow, MissingVectors
+from dicke_chaos.spectrum import (CLUSTER_TOL, DEFAULT_TAIL_TOL, DEFAULT_TAIL_WIDTH, _fix_phases,
+                                  _slice_bounds, _window_mask, tail_weights)
+from dicke_chaos.sweep import compute_point_data
 
 from child_process import child_env
 
@@ -652,6 +656,30 @@ class TestConvergence:
         assert e0[80] <= e0[40] + 1e-12
 
 
+#: The point whose entries the damage tests below break and compute_point heals.
+HEALED = ModelParams(lambda_=0.9, j=2.0, n_cutoff=20)
+
+
+def assert_a_miss_that_compute_point_heals(tmp_path, damage):
+    """Fill a cache by compute_point at HEALED, then replace its energies entry by
+    ``damage(blob)`` (delete it if ``damage`` is None): ``load`` returns None for the
+    entry, and compute_point on that cache gives the clean row and rewrites the
+    entry to the clean bytes.  Returns the cache."""
+    cache = SpectrumCache(tmp_path)
+    clean = compute_point(HEALED, cache=cache)
+    path = cache.path(HEALED, Parity.EVEN, KIND_ENERGIES)
+    blob = path.read_bytes()
+    if damage is None:
+        path.unlink()
+    else:
+        path.write_bytes(damage(blob))
+        assert path.read_bytes() != blob
+    assert cache.load(HEALED, Parity.EVEN, KIND_ENERGIES) is None
+    assert compute_point(HEALED, cache=cache) == clean
+    assert path.read_bytes() == blob
+    return cache
+
+
 class TestSpectrumCache:
     def test_roundtrip_exact(self, tmp_path):
         cache = SpectrumCache(tmp_path)
@@ -675,90 +703,89 @@ class TestSpectrumCache:
         assert cache.load(p1, Parity.EVEN, KIND_MID_COEFFS) is None
 
     def test_store_replaces_a_malformed_entry(self, tmp_path):
-        cache = SpectrumCache(tmp_path)
-        p = ModelParams(j=1.0, n_cutoff=8)
-        cache.store(p, Parity.EVEN, KIND_ENERGIES, np.array([1.0, 2.0]))
-        path = next(tmp_path.glob("*.spec"))
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(CacheFormatError):
-            cache.load(p, Parity.EVEN, KIND_ENERGIES)
-        cache.store(p, Parity.EVEN, KIND_ENERGIES, np.array([1.0, 2.0]))
-        assert np.array_equal(cache.load(p, Parity.EVEN, KIND_ENERGIES), [1.0, 2.0])
-        assert [q.name for q in tmp_path.iterdir()] == [path.name]
+        cache = assert_a_miss_that_compute_point_heals(tmp_path, lambda blob: blob[:-8])
+        assert sorted(q.name for q in tmp_path.iterdir()) == sorted(
+            cache.path(HEALED, Parity.EVEN, kind, DEFAULT_TAIL_WIDTH, DEFAULT_BINS).name
+            for kind in (KIND_ENERGIES, KIND_TAIL_WEIGHTS, KIND_MID_COEFFS, KIND_MID_HISTOGRAM))
 
-    def test_bad_magic_raises(self, tmp_path):
-        cache = SpectrumCache(tmp_path)
-        p = ModelParams(j=1.0, n_cutoff=8)
-        cache.store(p, Parity.EVEN, KIND_ENERGIES, np.array([1.0]))
-        path = next(tmp_path.glob("*.spec"))
-        path.write_bytes(b"NOTMAGIC" + path.read_bytes()[8:])
-        with pytest.raises(CacheFormatError):
-            cache.load(p, Parity.EVEN, KIND_ENERGIES)
+    def test_bad_magic_is_a_miss(self, tmp_path):
+        assert_a_miss_that_compute_point_heals(tmp_path, lambda blob: b"NOTMAGIC" + blob[8:])
 
-    def test_non_utf8_key_raises(self, tmp_path):
-        cache = SpectrumCache(tmp_path)
-        p = ModelParams(j=1.0, n_cutoff=8)
-        cache.store(p, Parity.EVEN, KIND_ENERGIES, np.array([1.0]))
-        path = next(tmp_path.glob("*.spec"))
-        blob = bytearray(path.read_bytes())
-        blob[16] = 0xFF  # first byte of the key document
-        path.write_bytes(bytes(blob))
-        with pytest.raises(CacheFormatError, match=f"{path.name}: key mismatch"):
-            cache.load(p, Parity.EVEN, KIND_ENERGIES)
+    def test_wrong_version_is_a_miss(self, tmp_path):
+        assert_a_miss_that_compute_point_heals(
+            tmp_path, lambda blob: blob[:8] + struct.pack("<I", VERSION + 1) + blob[12:])
+
+    def test_non_utf8_key_is_a_miss(self, tmp_path):
+        assert_a_miss_that_compute_point_heals(  # 0xFF at the key document's first byte
+            tmp_path, lambda blob: blob[:16] + b"\xff" + blob[17:])
 
     @pytest.mark.parametrize("cut", ["end of key", "inside count", "inside payload", "extra byte"])
-    def test_wrong_length_raises(self, tmp_path, cut):
-        cache = SpectrumCache(tmp_path)
-        p = ModelParams(j=1.0, n_cutoff=8)
-        cache.store(p, Parity.EVEN, KIND_ENERGIES, np.array([1.0, 2.0]))
-        path = next(tmp_path.glob("*.spec"))
-        blob = path.read_bytes()
-        payload = len(blob) - 16  # two float64 values follow the count
-        blob = {
-            "end of key": blob[: payload - 8],
-            "inside count": blob[: payload - 4],
-            "inside payload": blob[: payload + 12],
-            "extra byte": blob + b"\0",
-        }[cut]
-        path.write_bytes(blob)
-        with pytest.raises(CacheFormatError, match=path.name):
-            cache.load(p, Parity.EVEN, KIND_ENERGIES)
+    def test_wrong_length_is_a_miss(self, tmp_path, cut):
+        def damage(blob):
+            payload = 24 + struct.unpack_from("<I", blob, 12)[0]  # magic, version, key, count
+            return {
+                "end of key": blob[: payload - 8],
+                "inside count": blob[: payload - 4],
+                "inside payload": blob[: payload + 12],
+                "extra byte": blob + b"\0",
+            }[cut]
+
+        assert_a_miss_that_compute_point_heals(tmp_path, damage)
 
     @pytest.mark.parametrize("damage", ["none", "missing", "truncated", "bad magic",
                                         "mangled key"])
     def test_check_is_true_exactly_where_load_returns_an_array(self, tmp_path, damage):
-        """``load`` returns the stored array only for a whole entry: a missing one is
-        None, and every other damage raises CacheFormatError naming the file."""
-        cache = SpectrumCache(tmp_path)
-        p = ModelParams(j=1.0, n_cutoff=8)
-        cache.store(p, Parity.EVEN, KIND_ENERGIES, np.array([1.0, 2.0]))
-        path = cache.path(p, Parity.EVEN, KIND_ENERGIES)
-        blob = path.read_bytes()
-        if damage == "missing":
-            path.unlink()
-        elif damage != "none":
-            path.write_bytes({"truncated": blob[:-8], "bad magic": b"NOTMAGIC" + blob[8:],
-                              "mangled key": blob[:16] + b"\xff" + blob[17:]}[damage])
+        """``load`` returns the stored array only for a whole entry: every damage,
+        a missing entry included, is None, and compute_point rewrites the clean entry."""
         if damage == "none":
-            assert cache.load(p, Parity.EVEN, KIND_ENERGIES).tobytes() == blob[-16:]
-        elif damage == "missing":
-            assert cache.load(p, Parity.EVEN, KIND_ENERGIES) is None
+            cache = SpectrumCache(tmp_path)
+            energies = compute_point_data(HEALED, cache, want_vectors=False).energies
+            path = cache.path(HEALED, Parity.EVEN, KIND_ENERGIES)
+            assert cache.load(HEALED, Parity.EVEN, KIND_ENERGIES).tobytes() == (
+                path.read_bytes()[-8 * energies.size:]) == energies.tobytes()
         else:
-            with pytest.raises(CacheFormatError, match=path.name):
-                cache.load(p, Parity.EVEN, KIND_ENERGIES)
+            assert_a_miss_that_compute_point_heals(tmp_path, {
+                "missing": None, "truncated": lambda blob: blob[:-8],
+                "bad magic": lambda blob: b"NOTMAGIC" + blob[8:],
+                "mangled key": lambda blob: blob[:16] + b"\xff" + blob[17:]}[damage])
 
-    def test_failed_store_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+    def test_failed_store_leaves_no_temporary_file(self, tmp_path, monkeypatch, caplog):
         def refuse(src, dst):
             raise OSError("disk full")
 
         monkeypatch.setattr(os, "replace", refuse)
         cache = SpectrumCache(tmp_path)
-        with pytest.raises(OSError, match="disk full"):
-            cache.store(ModelParams(j=1.0, n_cutoff=8), Parity.EVEN, KIND_ENERGIES,
-                        np.array([1.0]))
-        row = compute_point(ModelParams(lambda_=0.9, j=2.0, n_cutoff=20), cache=cache)
-        assert row.error == "OSError: disk full" and np.isnan(row.d_kl)
+        cache.store(ModelParams(j=1.0, n_cutoff=8), Parity.EVEN, KIND_ENERGIES, np.array([1.0]))
+        row = compute_point(HEALED, cache=cache)
+        assert row == compute_point(HEALED)
         assert list(tmp_path.iterdir()) == []
+        assert caplog.messages == [f"spectrum cache {tmp_path} not written: disk full"]
+
+    def test_threads_failing_together_log_one_warning(self, tmp_path, monkeypatch, caplog):
+        """Twenty times, four threads at a barrier make a fresh cache's first stores and all
+        fail: each cache logs one warning, and its later stores write nothing."""
+        barrier = threading.Barrier(4, timeout=60)
+
+        def refuse(src, dst):
+            barrier.wait()  # every thread is past the check for an earlier failure
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        p, interval = ModelParams(j=1.0, n_cutoff=8), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for n in range(20):
+                cache = SpectrumCache(tmp_path / str(n))
+                with ThreadPoolExecutor(4) as pool:  # list() re-raises a store's exception
+                    list(pool.map(lambda kind: cache.store(p, Parity.EVEN, kind, np.arange(9.0)),
+                                  [KIND_ENERGIES, KIND_MID_COEFFS, KIND_ENERGIES, KIND_MID_COEFFS]))
+                # a store not skipped would wait at the barrier alone, and break it
+                cache.store(p, Parity.EVEN, KIND_ENERGIES, np.arange(9.0))
+                assert list(cache.root.iterdir()) == []
+        finally:
+            sys.setswitchinterval(interval)
+        assert caplog.messages == [f"spectrum cache {tmp_path / str(n)} not written: disk full"
+                                   for n in range(20)]
 
     def test_threads_storing_one_key_share_no_temporary_file(self, tmp_path):
         """Twenty times, four threads at a barrier store one key: no store fails, the entry
