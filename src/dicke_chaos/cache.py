@@ -20,9 +20,10 @@ the entry.  So the coefficients are read only to make a missing histogram, and
 deleting their entries costs a vector solve only when one is made.  Each entry is
 written whole to a per-thread temporary file and moved into place by an atomic
 rename, so threads and processes can share one directory and a reader never sees a
-partial write.  A write that fails with an OSError (a full disk, say) is skipped with
-one logged warning and the cache stores nothing more, so no cache fault changes an
-output byte.
+partial write.  A write that fails with an OSError (a directory in the entry's place,
+or a full disk) skips only that entry, and every other store is still attempted; a
+cache object logs one warning for all its failed writes, so no cache fault changes
+an output byte.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class SpectrumCache:
         self.root.mkdir(parents=True, exist_ok=True)
         self._entries: dict[tuple, tuple[bytes, Path]] = {}  # _entry's memo
         self._lock = threading.Lock()
-        self._write_failed = False  # set by the first failed store; later stores do nothing
+        self._warned = False  # set by the first failed store; later failures log nothing
 
     def path(self, params: ModelParams, sector: Parity, kind: str,
              tail_width: int | None = None, bins: int | None = None) -> Path:
@@ -137,11 +138,10 @@ class SpectrumCache:
               bins: int | None = None) -> None:
         """Write one payload through an atomic rename, replacing any entry already there
         (it is only called after a miss, so that entry was unusable).  If the write or the
-        rename fails, the temporary file is removed.  An OSError is then skipped: the first
-        is logged as one warning naming the cache directory, and every later store of this
-        cache does nothing.  Any other exception (KeyboardInterrupt, say) propagates."""
-        if self._write_failed:
-            return
+        rename fails, the temporary file is removed.  An OSError then skips this entry
+        alone: the first of this cache is logged as one warning naming the cache
+        directory, later ones silently, and every later store is still attempted.  Any
+        other exception (KeyboardInterrupt, say) propagates."""
         key, path = self._entry(params, sector, kind, tail_width, bins)
         arr = np.ascontiguousarray(values, dtype="<f8")
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
@@ -155,7 +155,7 @@ class SpectrumCache:
             os.replace(tmp, path)
         except OSError as exc:
             with self._lock:
-                first, self._write_failed = not self._write_failed, True
+                first, self._warned = not self._warned, True
             if first:
                 _log.warning("spectrum cache %s not written: %s", self.root, exc)
         finally:

@@ -6,11 +6,12 @@ eigenvectors of the windowed states come from banded inverse iteration
 (:func:`windowed_eigenvectors`, LAPACK ``gbtrf``/``gbtrs``, O(D b^2) work and
 O(D b) memory per state), so neither route makes a D x D matrix.  All three
 routines are called through their pointers in ``scipy.linalg.cython_lapack``, which
-release the GIL, so a sweep's pool threads overlap in them (not in Python or numpy),
-and inverse iteration runs one thread per slice of the windowed states.  A slice is
+release the GIL, so a sweep's pool threads overlap in them (not in Python or numpy).
+Every inverse iteration runs one thread per slice of the windowed states, and cuts
+as many slices as the process may use cores (:func:`available_cores`, its CPU
+affinity, so ``taskset`` is the one way to limit them), whoever calls it.  A slice is
 cut only between clusters of close levels, so the vectors are the same bytes with
-any thread count.  The default is a thread per core the process may run on
-(:func:`available_cores`); ``sweep.run_sweep`` gives each pool thread its share.
+any number of cores.
 The dense divide-and-conquer ``evd`` (``diagonalize(h, want_vectors=True)``) stays
 as the oracle the banded routes are tested against.
 
@@ -182,19 +183,19 @@ def _check_arguments(info: np.ndarray, routine: str) -> None:
         raise RuntimeError(f"LAPACK {routine}: argument {-info[0]} has an illegal value")
 
 
-def _slice_bounds(windowed: np.ndarray, tol: float, threads: int) -> np.ndarray:
-    """Bounds [0, ..., len] of at most ``threads`` nonempty slices of the ascending
+def _slice_bounds(windowed: np.ndarray, tol: float, slices: int) -> np.ndarray:
+    """Bounds [0, ..., len] of at most ``slices`` nonempty slices of the ascending
     ``windowed`` levels, about equal in size.  A slice starts only where a level lies
     more than ``tol`` above the one before it, so no cluster is split."""
-    threads = max(1, min(threads, windowed.size))
+    slices = max(1, min(slices, windowed.size))
     allowed = np.append(np.nonzero(np.diff(windowed) > tol)[0] + 1, windowed.size)
-    targets = np.arange(1, threads) * windowed.size // threads
+    targets = np.arange(1, slices) * windowed.size // slices
     return np.unique(np.concatenate(([0], allowed[np.searchsorted(allowed, targets)],
                                      [windowed.size])))
 
 
-def windowed_eigenvectors(band: np.ndarray, energies: np.ndarray, indices: np.ndarray,
-                          threads: int | None = None) -> np.ndarray:
+def windowed_eigenvectors(band: np.ndarray, energies: np.ndarray,
+                          indices: np.ndarray) -> np.ndarray:
     """Eigenvectors of the states ``indices`` by banded inverse iteration, D x k.
 
     ``band`` is H in LAPACK lower band storage (``HamiltonianMatrix.band``),
@@ -208,11 +209,12 @@ def windowed_eigenvectors(band: np.ndarray, energies: np.ndarray, indices: np.nd
     cluster, and each vector is reorthogonalized against the cluster's earlier ones
     (Dhillon, BIT 38 (1998) 685).
 
-    The states are cut into at most ``threads`` contiguous slices (default: every core
-    the process may run on, :func:`available_cores`), only at cluster boundaries, as
-    ScaLAPACK's ``PxSTEIN`` splits them.  Each slice runs in its own thread with its
-    own LU buffer and right-hand side, and calls LAPACK through :func:`_lapack`
-    without the GIL.  A state's shift, start vector and cluster mates do not depend
+    The states are cut into at most one contiguous slice per core the process may run
+    on (:func:`available_cores`), only at cluster boundaries, as ScaLAPACK's
+    ``PxSTEIN`` splits them; concurrent calls (a sweep's pool threads) each cut as
+    many and share the cores.  Each slice runs in its own thread with its own LU
+    buffer and right-hand side, and calls LAPACK through :func:`_lapack` without the
+    GIL.  A state's shift, start vector and cluster mates do not depend
     on the cut, so neither do the bytes returned.  Nothing D x D is made: each
     thread's factorization takes (3b + 1) D doubles.  Phases are fixed as in
     :func:`diagonalize`.  A diagonal H (bandwidth 0) has exact ties; its vectors are
@@ -288,7 +290,7 @@ def windowed_eigenvectors(band: np.ndarray, energies: np.ndarray, indices: np.nd
             _fix_phases(x[:, None])  # column by column: no D x k temporary
             vectors[:, col] = x
 
-    bounds = _slice_bounds(windowed, tol, threads or available_cores())
+    bounds = _slice_bounds(windowed, tol, available_cores())
     with ThreadPoolExecutor(max(1, bounds.size - 1)) as pool:
         try:
             for _ in pool.map(solve, bounds[:-1], bounds[1:]):

@@ -58,7 +58,6 @@ from .spectrum import (
     DEFAULT_TAIL_WIDTH,
     SpectralDataset,
     _window_mask,
-    available_cores,
     diagonalize,
     tail_weights,
     windowed_eigenvectors,
@@ -157,8 +156,7 @@ class PointData:
 
 
 def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
-                       want_vectors: bool = True, bins: int = DEFAULT_BINS,
-                       threads: int | None = None) -> PointData:
+                       want_vectors: bool = True, bins: int = DEFAULT_BINS) -> PointData:
     """Obtain the spectrum (and, if wanted, eigenvector summaries) for one point.
 
     One rule for every payload: read its cache entry; if that is unusable (missing,
@@ -167,9 +165,9 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
     histogram in ``bins`` bins, and solved only when both are missing.  The even-parity
     block is built at most once, for a missing payload that needs it.  Its band solve
     gives the eigenvalues, stored before :func:`windowed_eigenvectors` solves the window's
-    vectors from them, cached or fresh, in ``threads`` threads (default: every
-    available core), making no D x D matrix.  Cached payloads are exact float64 copies,
-    so a warm run reproduces a cold run bit for bit; empty windows store empty arrays.
+    vectors from them, cached or fresh, in a thread per available core, making no D x D
+    matrix.  Cached payloads are exact float64 copies, so a warm run reproduces a cold
+    run bit for bit; empty windows store empty arrays.
     """
     sector = Parity.EVEN
 
@@ -192,7 +190,7 @@ def compute_point_data(params: ModelParams, cache: SpectrumCache | None = None,
     def dataset() -> SpectralDataset:
         h = hamiltonian()
         return SpectralDataset(params, energies[window],
-                               windowed_eigenvectors(h.band, energies, window, threads),
+                               windowed_eigenvectors(h.band, energies, window),
                                window, h.basis)
 
     def mid_coeffs() -> np.ndarray:
@@ -251,8 +249,7 @@ def level_statistics(windowed: np.ndarray, fit_degree: int) -> LevelStatistics:
 
 
 def compute_point(params: ModelParams, fit_degree: int = DEFAULT_FIT_DEGREE,
-                  bins: int = DEFAULT_BINS, cache: SpectrumCache | None = None,
-                  threads: int | None = None) -> SweepResultRow:
+                  bins: int = DEFAULT_BINS, cache: SpectrumCache | None = None) -> SweepResultRow:
     """All four chaos indicators for a single (kappa, lambda) point: the one maker of
     sweep rows, in a sweep's calling thread and in its pool threads alike.
 
@@ -262,8 +259,7 @@ def compute_point(params: ModelParams, fit_degree: int = DEFAULT_FIT_DEGREE,
     """
     row = SweepResultRow(kappa=params.kappa, lambda_=params.lambda_)
     try:
-        data = compute_point_data(params, cache=cache, want_vectors=True, bins=bins,
-                                  threads=threads)
+        data = compute_point_data(params, cache=cache, want_vectors=True, bins=bins)
     except Exception as exc:  # failed point -> NaN row, sweep continues
         row.error = f"{type(exc).__name__}: {exc}"
         return row
@@ -300,11 +296,11 @@ def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
     after another (a corrupt entry it reads, or a missing histogram, is remade and
     written there); the rest go to a pool of ``min(workers, misses)`` threads, so an
     all-hit grid starts none, and each solved row returns to its miss's place.  The
-    LAPACK solves of the pool's points release the GIL and overlap, each in
-    ``max(1, cores // pool size)`` threads, so fewer misses than workers still use
-    every core; the Python and numpy parts of each point share the GIL.  On Ctrl-C
-    the points not yet started are cancelled and the ones in flight finish before
-    KeyboardInterrupt leaves this function.
+    LAPACK solves of the pool's points release the GIL and overlap; each point's
+    inverse iteration cuts its own slice per core, so a miss that solves alone uses
+    every core and concurrent ones share them.  The Python and numpy parts of each
+    point share the GIL.  On Ctrl-C the points not yet started are cancelled and the
+    ones in flight finish before KeyboardInterrupt leaves this function.
     """
     points = [replace(config.base, kappa=kappa, lambda_=lam)
               for kappa in config.kappa_grid for lam in config.lambda_grid]
@@ -323,10 +319,8 @@ def run_sweep(config: SweepConfig) -> list[SweepResultRow]:
     misses = [params for params, row in zip(points, rows) if row is None]
     if not misses:
         return rows
-    pool_size = min(config.workers, len(misses))
-    threads = max(1, available_cores() // pool_size)
-    with ThreadPoolExecutor(pool_size) as pool:
-        solved = iter(list(pool.map(partial(point, threads=threads), misses)))
+    with ThreadPoolExecutor(min(config.workers, len(misses))) as pool:
+        solved = iter(list(pool.map(point, misses)))
     return [row if row is not None else next(solved) for row in rows]
 
 

@@ -1,7 +1,7 @@
 """Cache faults never change an output byte.  An entry a run cannot read is a miss and is
 solved again; a write the cache cannot make is skipped, with one warning naming the cache
-directory, and the run goes on with what it made.  Tests may run as root, where ``chmod``
-blocks nothing, so every fault is injected by patching."""
+directory, and the run goes on storing every other entry.  Tests may run as root, where
+``chmod`` blocks nothing, so every fault is injected by patching."""
 
 import errno
 import json
@@ -135,8 +135,10 @@ FAULTS = [every_store_enospc, mid_coeffs_stores_enospc, store_permission_error,
 def test_a_cache_fault_changes_no_output_byte(tmp_path, monkeypatch, caplog, reference,
                                               fault, workers):
     """Every command writes a no-cache run's bytes and exits 0; a command whose write fails
-    logs one line naming the cache directory and the error; no temporary file is left;
-    and a later run on the healed cache leaves a clean run's entries."""
+    logs one line naming the cache directory and the error; every entry but the ones the
+    fault refused is stored, and no temporary file is left; and a later run on the healed
+    cache leaves a clean run's entries, but for the mid-window coefficients a warm point
+    never reads."""
     config, outputs, clean_entries = reference
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
     cache_dir = tmp_path / "cache"
@@ -156,6 +158,12 @@ def test_a_cache_fault_changes_no_output_byte(tmp_path, monkeypatch, caplog, ref
         assert len(logged["sweep"]) == 1 and all(len(lines) <= 1 for lines in logged.values())
         assert all(line.startswith(f"spectrum cache {cache_dir} not written: {error}")
                    for lines in logged.values() for line in lines)
+        # every other entry is stored; an entry's name, and its temporary file's, start
+        # with the hash of its key
+        refused = {pathlib.Path(path).name.partition(".")[0] for path in injected}
+        assert {path.name: path.read_bytes() for path in cache_dir.iterdir() if path.is_file()} == {
+            name: blob for name, blob in clean_entries.items()
+            if name.partition(".")[0] not in refused}
 
     monkeypatch.undo()
     monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
@@ -163,4 +171,9 @@ def test_a_cache_fault_changes_no_output_byte(tmp_path, monkeypatch, caplog, ref
         if path.is_dir():
             path.rmdir()
     assert run_all(config, tmp_path / "healthy", cache_dir, workers)[0] == outputs
-    assert files(cache_dir) == clean_entries
+    # with every other entry stored, each point is warm at 201 bins and never makes its
+    # pooled components again
+    never_made = ({path.name for path in injected} if fault is mid_coeffs_stores_enospc
+                  else set())
+    assert files(cache_dir) == {name: blob for name, blob in clean_entries.items()
+                                if name not in never_made}

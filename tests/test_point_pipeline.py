@@ -10,6 +10,7 @@ import shutil
 import numpy as np
 import pytest
 
+import dicke_chaos.spectrum as spectrum
 import dicke_chaos.sweep as sweep
 from dicke_chaos import (
     HamiltonianMatrix,
@@ -102,12 +103,13 @@ def test_cold_and_warm_cache_write_identical_files(tmp_path):
     assert entries[0] == entries[1] and len(entries[0]) == 16
 
 
-def test_thread_count_never_changes_a_row_or_a_cache_byte(tmp_path):
+def test_thread_count_never_changes_a_row_or_a_cache_byte(tmp_path, monkeypatch):
     params = ModelParams(j=6.0, n_cutoff=80, lambda_=0.9, kappa=0.7)
-    rows, entries = [], []
-    for threads in (1, None, 3):  # None: a thread per available core
-        cache_dir = tmp_path / f"threads{threads}"
-        rows.append(compute_point(params, cache=SpectrumCache(cache_dir), threads=threads))
+    rows, entries, real = [], [], spectrum.available_cores
+    for cores in (1, None, 3):  # None: the cores this process may run on
+        monkeypatch.setattr(spectrum, "available_cores", real if cores is None else lambda: cores)
+        cache_dir = tmp_path / f"cores{cores}"
+        rows.append(compute_point(params, cache=SpectrumCache(cache_dir)))
         entries.append({p.name: p.read_bytes() for p in cache_dir.iterdir()})
     assert rows[0].error is None and len(entries[0]) == 4
     assert rows[0] == rows[1] == rows[2]

@@ -509,20 +509,24 @@ def windowed_problem(lam):
 
 class TestThreads:
     @pytest.mark.parametrize("lam", THREAD_POINTS)
-    def test_thread_count_never_changes_a_byte(self, lam):
+    def test_thread_count_never_changes_a_byte(self, lam, monkeypatch):
         band, energies, indices = windowed_problem(lam)
-        serial = windowed_eigenvectors(band, energies, indices, threads=1).tobytes()
+
+        def solve(states, cores):  # inverse iteration cuts a slice per available core
+            monkeypatch.setattr(spectrum, "available_cores", lambda: cores)
+            return windowed_eigenvectors(band, energies, states).tobytes()
+
+        serial = solve(indices, 1)
         # ten states around the closest pair, with more threads than they have clusters
         tightest = int(np.argmin(np.diff(energies[indices])))
         stretch = indices[max(0, tightest - 4): tightest + 6]
-        stretch_serial = windowed_eigenvectors(band, energies, stretch, threads=1).tobytes()
+        stretch_serial = solve(stretch, 1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # threads trade the interpreter as often as it allows
         try:
-            for threads in (2, 3):
-                assert windowed_eigenvectors(band, energies, indices, threads).tobytes() == serial
-            assert (windowed_eigenvectors(band, energies, stretch, stretch.size + 1).tobytes()
-                    == stretch_serial)
+            for cores in (2, 3):
+                assert solve(indices, cores) == serial
+            assert solve(stretch, stretch.size + 1) == stretch_serial
         finally:
             sys.setswitchinterval(interval)
 
@@ -548,10 +552,11 @@ class TestThreads:
         band, energies, indices = windowed_problem(0.9)
         baseline = threading.active_count()
         monkeypatch.setattr(spectrum, "MAX_SOLVES", 0)
+        monkeypatch.setattr(spectrum, "available_cores", lambda: 2)
         with pytest.raises(ConvergenceFailure, match="did not converge"):
-            windowed_eigenvectors(band, energies, indices, threads=2)
+            windowed_eigenvectors(band, energies, indices)
         assert threading.active_count() == baseline
-        row = compute_point(ModelParams(lambda_=0.9, kappa=0.7, j=6.0, n_cutoff=40), threads=2)
+        row = compute_point(ModelParams(lambda_=0.9, kappa=0.7, j=6.0, n_cutoff=40))
         assert row.error.startswith("ConvergenceFailure: inverse iteration did not converge")
         assert math.isnan(row.d_kl) and math.isnan(row.converged_fraction)
         assert threading.active_count() == baseline
@@ -569,8 +574,9 @@ class TestThreads:
 
         routines[routine] = negative_kl
         monkeypatch.setattr(spectrum, "_lapack", lambda: tuple(routines))
+        monkeypatch.setattr(spectrum, "available_cores", lambda: 2)
         with pytest.raises(RuntimeError, match=f"{name}: argument 3 has an illegal value"):
-            windowed_eigenvectors(band, energies, indices, threads=2)
+            windowed_eigenvectors(band, energies, indices)
         assert threading.active_count() == baseline
 
 
@@ -763,25 +769,30 @@ class TestSpectrumCache:
 
     def test_threads_failing_together_log_one_warning(self, tmp_path, monkeypatch, caplog):
         """Twenty times, four threads at a barrier make a fresh cache's first stores and all
-        fail: each cache logs one warning, and its later stores write nothing."""
-        barrier = threading.Barrier(4, timeout=60)
+        fail: each cache logs one warning, and a later store is attempted, leaves no file
+        and logs nothing."""
+        barrier, later = threading.Barrier(4, timeout=60), []
 
         def refuse(src, dst):
-            barrier.wait()  # every thread is past the check for an earlier failure
+            barrier.wait()  # the four stores fail at once
             raise OSError("disk full")
 
-        monkeypatch.setattr(os, "replace", refuse)
+        def refuse_alone(src, dst):
+            later.append(dst)
+            raise OSError("disk full")
+
         p, interval = ModelParams(j=1.0, n_cutoff=8), sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for n in range(20):
                 cache = SpectrumCache(tmp_path / str(n))
+                monkeypatch.setattr(os, "replace", refuse)
                 with ThreadPoolExecutor(4) as pool:  # list() re-raises a store's exception
                     list(pool.map(lambda kind: cache.store(p, Parity.EVEN, kind, np.arange(9.0)),
                                   [KIND_ENERGIES, KIND_MID_COEFFS, KIND_ENERGIES, KIND_MID_COEFFS]))
-                # a store not skipped would wait at the barrier alone, and break it
+                monkeypatch.setattr(os, "replace", refuse_alone)  # no barrier to wait at alone
                 cache.store(p, Parity.EVEN, KIND_ENERGIES, np.arange(9.0))
-                assert list(cache.root.iterdir()) == []
+                assert len(later) == n + 1 and list(cache.root.iterdir()) == []
         finally:
             sys.setswitchinterval(interval)
         assert caplog.messages == [f"spectrum cache {tmp_path / str(n)} not written: disk full"

@@ -257,26 +257,24 @@ class TestCacheHitsInParent:
         assert [(r.kappa, r.lambda_) for r in rows] == GRID
         assert all(r.dim == 527 for r in rows)
 
-    @pytest.mark.parametrize("workers, cached, cores, threads",
-                             [(2, 1, 4, 2), (4, 3, 4, 4), (2, 0, 1, 1), (2, 0, 3, 1)])
-    def test_each_worker_solves_in_its_share_of_the_cores(self, tmp_path, monkeypatch,
-                                                          workers, cached, cores, threads):
-        """max(1, cores // pool size) threads per worker: a lone miss gets every core."""
+    @pytest.mark.parametrize("workers, cached, cores",
+                             [(2, 1, 4), (4, 3, 4), (2, 0, 1), (2, 0, 3)])
+    def test_every_miss_solves_over_every_core(self, tmp_path, monkeypatch,
+                                               workers, cached, cores):
+        """Each miss's inverse iteration slices its states over every available core,
+        however many pool threads solve beside it."""
         cache = fill_cache(tmp_path / "cache", GRID[:cached])
-        shares = []
+        slices = []
 
-        class InlineExecutor(contextlib.nullcontext):
-            def __init__(self, max_workers):
-                super().__init__(self)
+        def spy(windowed, tol, count):
+            slices.append(count)
+            return slice_bounds(windowed, tol, count)
 
-            def map(self, fn, misses):
-                shares.append(fn.keywords["threads"])
-                return map(fn, misses)
-
-        monkeypatch.setattr(dicke_chaos.sweep, "ThreadPoolExecutor", InlineExecutor)
-        monkeypatch.setattr(dicke_chaos.sweep, "available_cores", lambda: cores)
+        slice_bounds = dicke_chaos.spectrum._slice_bounds
+        monkeypatch.setattr(dicke_chaos.spectrum, "_slice_bounds", spy)
+        monkeypatch.setattr(dicke_chaos.spectrum, "available_cores", lambda: cores)
         rows = run_sweep(small_config(tmp_path, workers=workers, cache_dir=cache))
-        assert shares == [threads]
+        assert slices == [cores] * (len(GRID) - cached)
         assert [(r.kappa, r.lambda_) for r in rows] == GRID and all(r.dim == 527 for r in rows)
 
     def test_blas_thread_count_never_changes_warm_bytes(self, tmp_path):
