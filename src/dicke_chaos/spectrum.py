@@ -9,9 +9,9 @@ routines are called through their pointers in ``scipy.linalg.cython_lapack``, wh
 release the GIL, so a sweep's pool threads overlap in them (not in Python or numpy).
 Every inverse iteration runs one thread per slice of the windowed states, and cuts
 as many slices as the process may use cores (:func:`available_cores`, its CPU
-affinity, so ``taskset`` is the one way to limit them), whoever calls it.  A slice is
-cut only between clusters of close levels, so the vectors are the same bytes with
-any number of cores.
+affinity, so ``taskset`` is the one way to limit them); all calls share one slot per
+core, so a lone solve uses every core and concurrent ones share them.  A slice is cut
+only between clusters of close levels: the vectors are the same bytes on any cores.
 The dense divide-and-conquer ``evd`` (``diagonalize(h, want_vectors=True)``) stays
 as the oracle the banded routes are tested against.
 
@@ -133,6 +133,8 @@ def available_cores() -> int:
         return os.cpu_count() or 1
 
 
+_solve_slots = threading.Semaphore(available_cores())  # one per core, for every call's slices
+
 _load_lock = threading.Lock()  # a second thread executing a module sees it half made or raises
 
 
@@ -211,14 +213,14 @@ def windowed_eigenvectors(band: np.ndarray, energies: np.ndarray,
 
     The states are cut into at most one contiguous slice per core the process may run
     on (:func:`available_cores`), only at cluster boundaries, as ScaLAPACK's
-    ``PxSTEIN`` splits them; concurrent calls (a sweep's pool threads) each cut as
-    many and share the cores.  Each slice runs in its own thread with its own LU
-    buffer and right-hand side, and calls LAPACK through :func:`_lapack` without the
-    GIL.  A state's shift, start vector and cluster mates do not depend
-    on the cut, so neither do the bytes returned.  Nothing D x D is made: each
-    thread's factorization takes (3b + 1) D doubles.  Phases are fixed as in
-    :func:`diagonalize`.  A diagonal H (bandwidth 0) has exact ties; its vectors are
-    the unit vectors, ties in basis order.
+    ``PxSTEIN`` splits them.  Each slice runs in its own thread, which holds one of the
+    process's ``_solve_slots`` (one per core) while it makes and uses its own LU buffer
+    and right-hand side and calls LAPACK through :func:`_lapack` without the GIL, so
+    concurrent calls (a sweep's pool threads) never run more slices than cores.  A
+    state's shift, start vector and cluster mates do not depend on the cut, so neither
+    do the bytes returned.  Nothing D x D is made: a slice's factorization takes
+    (3b + 1) D doubles.  Phases are fixed as in :func:`diagonalize`.  A diagonal H
+    (bandwidth 0) has exact ties; its vectors are the unit vectors, ties in basis order.
 
     Raises
     ------
@@ -251,44 +253,45 @@ def windowed_eigenvectors(band: np.ndarray, energies: np.ndarray,
 
     def solve(begin: int, end: int) -> None:
         """Columns begin..end-1 of ``vectors``; ``begin`` starts a cluster."""
-        lu, x = np.empty_like(general), np.empty(dim)
-        piv, info = np.empty(dim, np.intc), np.zeros(1, np.intc)
-        ints = np.array([dim, b, 3 * b + 1, 1], np.intc)  # n, kl = ku, ldab, nrhs
-        trans = np.frombuffer(b"N", np.uint8)
-        n, kl, ldab, nrhs = (ints.ctypes.data + k * ints.itemsize for k in range(4))
-        # The arrays above stay referenced until this function returns.
-        factor = (n, n, kl, kl, lu.ctypes.data, ldab, piv.ctypes.data, info.ctypes.data)
-        solve_x = (trans.ctypes.data, n, kl, kl, nrhs, lu.ctypes.data, ldab,
-                   piv.ctypes.data, x.ctypes.data, n, info.ctypes.data)
-        first = begin  # column of the current cluster's first state
-        for col in range(begin, end):
-            if stop.is_set():
-                return
-            if col > begin and windowed[col] - windowed[col - 1] > tol:
-                first = col
-            i = indices[col]
-            np.copyto(lu, general)
-            lu[2 * b] -= energies[i]
-            dgbtrf(*factor)
-            _check_arguments(info, "dgbtrf")
-            if info[0] > 0:  # E_i is exact: perturb U's zero pivot rather than divide by it
-                diag = lu[2 * b]
-                diag[diag == 0.0] = tiny_pivot
-            np.copyto(x, start)
-            for solves in range(1, MAX_SOLVES + 1):
-                dgbtrs(*solve_x)
-                _check_arguments(info, "dgbtrs")
-                if first < col:
-                    mates = vectors[:, first:col]
-                    x -= mates @ (mates.T @ x)
-                norm = np.linalg.norm(x)
-                x /= norm
-                if norm * RESIDUAL_TOL * scale >= 1.0 and solves > close[i]:
-                    break
-            else:
-                raise ConvergenceFailure(f"inverse iteration did not converge for state {i}")
-            _fix_phases(x[:, None])  # column by column: no D x k temporary
-            vectors[:, col] = x
+        with _solve_slots:  # waits, before making any buffer, while every core runs a slice
+            lu, x = np.empty_like(general), np.empty(dim)
+            piv, info = np.empty(dim, np.intc), np.zeros(1, np.intc)
+            ints = np.array([dim, b, 3 * b + 1, 1], np.intc)  # n, kl = ku, ldab, nrhs
+            trans = np.frombuffer(b"N", np.uint8)
+            n, kl, ldab, nrhs = (ints.ctypes.data + k * ints.itemsize for k in range(4))
+            # The arrays above stay referenced until this function returns.
+            factor = (n, n, kl, kl, lu.ctypes.data, ldab, piv.ctypes.data, info.ctypes.data)
+            solve_x = (trans.ctypes.data, n, kl, kl, nrhs, lu.ctypes.data, ldab,
+                       piv.ctypes.data, x.ctypes.data, n, info.ctypes.data)
+            first = begin  # column of the current cluster's first state
+            for col in range(begin, end):
+                if stop.is_set():
+                    return
+                if col > begin and windowed[col] - windowed[col - 1] > tol:
+                    first = col
+                i = indices[col]
+                np.copyto(lu, general)
+                lu[2 * b] -= energies[i]
+                dgbtrf(*factor)
+                _check_arguments(info, "dgbtrf")
+                if info[0] > 0:  # E_i is exact: perturb U's zero pivot rather than divide by it
+                    diag = lu[2 * b]
+                    diag[diag == 0.0] = tiny_pivot
+                np.copyto(x, start)
+                for solves in range(1, MAX_SOLVES + 1):
+                    dgbtrs(*solve_x)
+                    _check_arguments(info, "dgbtrs")
+                    if first < col:
+                        mates = vectors[:, first:col]
+                        x -= mates @ (mates.T @ x)
+                    norm = np.linalg.norm(x)
+                    x /= norm
+                    if norm * RESIDUAL_TOL * scale >= 1.0 and solves > close[i]:
+                        break
+                else:
+                    raise ConvergenceFailure(f"inverse iteration did not converge for state {i}")
+                _fix_phases(x[:, None])  # column by column: no D x k temporary
+                vectors[:, col] = x
 
     bounds = _slice_bounds(windowed, tol, available_cores())
     with ThreadPoolExecutor(max(1, bounds.size - 1)) as pool:

@@ -9,6 +9,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -529,6 +530,35 @@ class TestThreads:
             assert solve(stretch, stretch.size + 1) == stretch_serial
         finally:
             sys.setswitchinterval(interval)
+
+    def test_concurrent_calls_share_one_slot_per_core(self, monkeypatch):
+        """Three calls at once, each cutting four slices, with two slots: at most two
+        slices factor at once, and two do, so the slices queue for the cores rather
+        than run one by one; every call returns the one-core bytes."""
+        band, energies, indices = windowed_problem(0.9)
+        monkeypatch.setattr(spectrum, "available_cores", lambda: 1)
+        serial = windowed_eigenvectors(band, energies, indices).tobytes()
+        routines = list(spectrum._lapack())
+        factor, lock, running, peak = routines[0], threading.Lock(), [0], [0]
+
+        def counted_factor(*args):
+            with lock:
+                running[0] += 1
+                peak[0] = max(peak[0], running[0])
+            time.sleep(1e-4)  # hold the slot a while, so that slices overlap
+            factor(*args)
+            with lock:
+                running[0] -= 1
+
+        routines[0] = counted_factor
+        monkeypatch.setattr(spectrum, "_lapack", lambda: tuple(routines))
+        monkeypatch.setattr(spectrum, "_solve_slots", threading.Semaphore(2))
+        monkeypatch.setattr(spectrum, "available_cores", lambda: 4)
+        with ThreadPoolExecutor(3) as pool:
+            calls = [pool.submit(windowed_eigenvectors, band, energies, indices)
+                     for _ in range(3)]
+            assert [call.result().tobytes() for call in calls] == [serial] * 3
+        assert peak[0] == 2
 
     @pytest.mark.parametrize("lam", THREAD_POINTS)
     @pytest.mark.parametrize("threads", [1, 2, 3, 7, 1000])

@@ -258,7 +258,7 @@ class TestCacheHitsInParent:
         assert all(r.dim == 527 for r in rows)
 
     @pytest.mark.parametrize("workers, cached, cores",
-                             [(2, 1, 4), (4, 3, 4), (2, 0, 1), (2, 0, 3)])
+                             [(2, 1, 4), (4, 3, 4), (2, 0, 1), (2, 0, 3), (4, 0, 4)])
     def test_every_miss_solves_over_every_core(self, tmp_path, monkeypatch,
                                                workers, cached, cores):
         """Each miss's inverse iteration slices its states over every available core,
