@@ -24,11 +24,16 @@ partial write.  A write that fails with an OSError (a directory in the entry's p
 or a full disk) skips only that entry, and every other store is still attempted; a
 cache object logs one warning for all its failed writes, so no cache fault changes
 an output byte.
+
+An entry's file name is the SHA-256 hex digest of its key document, computed by the
+interpreter's built-in hash (``_sha2`` from Python 3.12, ``_sha256`` before), which
+gives the same digest as ``hashlib.sha256`` without loading ``hashlib``'s OpenSSL
+(about 3.5 MB of RSS and a few ms per process); ``hashlib`` is the fallback for an
+interpreter built without them.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import logging
 import os
@@ -40,6 +45,14 @@ import numpy as np
 
 from .model import ModelParams, Parity
 from .spectrum import SOLVER
+
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 _log = logging.getLogger(__name__)
 
@@ -110,7 +123,7 @@ class SpectrumCache:
         if (entry := self._entries.get(memo)) is None:
             key = json.dumps(cache_key(params, sector, kind, tail_width, bins),
                              sort_keys=True, separators=(",", ":")).encode("utf-8")
-            entry = self._entries[memo] = key, self.root / f"{hashlib.sha256(key).hexdigest()}.spec"
+            entry = self._entries[memo] = key, self.root / f"{_sha256(key).hexdigest()}.spec"
         return entry
 
     def load(self, params: ModelParams, sector: Parity, kind: str,

@@ -47,6 +47,11 @@ DEFAULT_TAIL_TOL = 1e-6
 #: windowed vectors.  The cache key names them, so entries of an earlier solver (the
 #: dense ``evd``, say) miss.
 SOLVER = "sbevd+gbtrs"
+#: The band solve's eigenvalues must give tr H and ||H||_F^2 as their sum and sum of squares
+#: to within this many units of D eps max|E| (max|E|^2 for the squares).  Grids at j = 5, 6
+#: and 8 and two j = 16 points came within 2.4 units; one level moved by 1e-6 max|E| misses
+#: by 5e5 units or more.
+TRACE_TOL = 100
 #: Inverse iteration accepts a solve once it certifies a residual below this times max|E|.
 RESIDUAL_TOL = 1e-12
 #: Adjacent eigenvalues closer than this times max|E| are reorthogonalized as a cluster.
@@ -86,10 +91,11 @@ def diagonalize(h: HamiltonianMatrix, want_vectors: bool = False) -> EigenDecomp
     Uses LAPACK.  Eigenvalues alone come from the symmetric-band driver ``dsbevd``,
     the routine ``scipy.linalg.eig_banded`` calls, here without the GIL, on a copy
     of ``h.band``, which holds the whole matrix; no dense matrix is made, so this
-    route needs O(D b) memory at any D.  With vectors, the dense divide-and-conquer
-    ``evd`` runs on a fresh ``h.entries`` and overwrites it with the eigenvectors,
-    which come back in Fortran order (about 3 x 8 D^2 bytes at the peak with LAPACK's
-    workspace).  That route is the test oracle of :func:`windowed_eigenvectors`,
+    route needs O(D b) memory at any D, and an O(D b) check certifies its eigenvalues
+    against tr H and ||H||_F^2 (``TRACE_TOL``).  With vectors, the dense
+    divide-and-conquer ``evd`` runs on a fresh ``h.entries`` and overwrites it with the
+    eigenvectors, which come back in Fortran order (about 3 x 8 D^2 bytes at the peak
+    with LAPACK's workspace).  That route is the test oracle of :func:`windowed_eigenvectors`,
     which the pipeline uses.  Both return the eigenvalues ascending, so their order
     is kept as it comes.
 
@@ -98,7 +104,8 @@ def diagonalize(h: HamiltonianMatrix, want_vectors: bool = False) -> EigenDecomp
     AllocationTooLarge
         With vectors, if D exceeds ``model.MAX_DENSE_DIM``.
     ConvergenceFailure
-        If the LAPACK routine does not converge (not expected for this model).
+        If the LAPACK routine does not converge (not expected for this model), or the
+        band solve's eigenvalues fail their certificate.
     RuntimeError
         If LAPACK reports an illegal argument (``info < 0``).
     """
@@ -115,6 +122,7 @@ def diagonalize(h: HamiltonianMatrix, want_vectors: bool = False) -> EigenDecomp
         _check_arguments(info, "dsbevd")
         if info[0] > 0:
             raise ConvergenceFailure(f"eigensolver failed: dsbevd info {info[0]}")
+        _certify(w, h.band)
         return EigenDecomposition(energies=w, vectors=None, basis=h.basis)
     from scipy.linalg import eigh
     try:
@@ -123,6 +131,22 @@ def diagonalize(h: HamiltonianMatrix, want_vectors: bool = False) -> EigenDecomp
         raise ConvergenceFailure(f"eigensolver failed: {exc}") from exc
     _fix_phases(v)
     return EigenDecomposition(energies=w, vectors=v, basis=h.basis)
+
+
+def _certify(energies: np.ndarray, band: np.ndarray) -> None:
+    """Check the eigenvalues of the lower band ``band`` against two O(D b) invariants of H:
+    sum E_i = tr H to within ``TRACE_TOL`` D eps max|E|, and sum E_i^2 = ||H||_F^2 (each
+    off-diagonal counted twice) to within ``TRACE_TOL`` D eps max|E|^2.  Compared with
+    ``<=``, so a zero H passes and a NaN fails."""
+    scale = float(np.max(np.abs(energies)))
+    bound = TRACE_TOL * energies.size * np.finfo(float).eps * scale
+    squares = np.einsum("ij,ij->i", band, band)  # per diagonal; einsum makes no D x b temporary
+    trace = abs(energies.sum() - band[0].sum())
+    frobenius = abs(np.einsum("i,i", energies, energies) - squares[0] - 2 * squares[1:].sum())
+    if not (trace <= bound and frobenius <= bound * scale):
+        raise ConvergenceFailure(
+            f"eigensolver failed: dsbevd eigenvalues miss tr H by {trace:.3g} (bound "
+            f"{bound:.3g}) or ||H||_F^2 by {frobenius:.3g} (bound {bound * scale:.3g})")
 
 
 def available_cores() -> int:

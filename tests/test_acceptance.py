@@ -65,13 +65,20 @@ def criterion(label):
 
 
 @pytest.fixture(scope="module")
-def indicator_scan():
+def scan_cache(tmp_path_factory):
+    """One cache for the full-scale fixtures: eigenvector_runs' two points are in the scan
+    grid, so their eigenvalues are solved once.  A cached spectrum is the solved bytes."""
+    return SpectrumCache(tmp_path_factory.mktemp("scan_cache"))
+
+
+@pytest.fixture(scope="module")
+def indicator_scan(scan_cache):
     """eta/beta/<r> over the (kappa, lambda) scan grid, eigenvalues only.  The points are
     independent and their band solves release the GIL, so they run in a thread per core."""
     def indicators(point):
         kappa, lam = point
         params = ModelParams(lambda_=lam, kappa=kappa, **FULL_SCALE)
-        windowed = compute_point_data(params, want_vectors=False).windowed
+        windowed = compute_point_data(params, scan_cache, want_vectors=False).windowed
         spacings = unfold(windowed, fit_degree=10).spacings
         ratios, _ = spacing_ratios(windowed)
         return {
@@ -89,17 +96,15 @@ def indicator_scan():
 
 
 @pytest.fixture(scope="module")
-def eigenvector_runs(tmp_path_factory):
+def eigenvector_runs(scan_cache):
     """Vector-resolved runs at the production cutoff, plus an eigenvalue-only
     cross-check 40 Fock layers higher, at lambda = 0.1 and 1.0 (kappa = 0), the two
     lambdas in a thread each, as in indicator_scan.  The pooled components come from
     the run's cache entry."""
-    cache = SpectrumCache(tmp_path_factory.mktemp("eigenvector_runs"))
-
     def run(lam):
         params = ModelParams(lambda_=lam, kappa=0.0, **FULL_SCALE)
-        data = compute_point_data(params, cache)
-        sample = CoefficientSample.pool(cache.load(params, Parity.EVEN, KIND_MID_COEFFS),
+        data = compute_point_data(params, scan_cache)
+        sample = CoefficientSample.pool(scan_cache.load(params, Parity.EVEN, KIND_MID_COEFFS),
                                         data.energies.size)
         hi = compute_point_data(replace(params, n_cutoff=params.n_cutoff + 40),
                                 want_vectors=False)

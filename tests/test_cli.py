@@ -92,6 +92,33 @@ print(json.dumps(seen))
     assert len(list(cache.iterdir())) == 16  # the sweep's 4 points x 4 entries: a cache hit
 
 
+def test_calls_that_solve_no_vector_load_no_openssl(config_path, tmp_path):
+    """A warm sweep, boundary and a cold eigenvalue-only spectrum name their cache entries
+    with the interpreter's built-in SHA-256, so the process never imports hashlib."""
+    cache = tmp_path / "cache"
+    assert main(["sweep", "--config", str(config_path), "--set", f"cache_dir={cache}"]) == 0
+    env = child_env()
+    env.pop("DICKE_CHAOS_CACHE_DIR", None)
+    config, out = str(config_path), str(tmp_path / "child")
+    probe = f"""
+import json, sys
+import dicke_chaos.cli as cli
+assert cli.main(["sweep", "--config", {config!r}, "--out", {out!r},
+                 "--set", "cache_dir={cache}"]) == 0
+assert cli.main(["boundary", "--config", {config!r}, "--out", {out!r}]) == 0
+assert cli.main(["spectrum", "--config", {config!r}, "--out", {out!r}, "--set", "kappa=0.25",
+                 "--set", "lambda=0.9", "--set", "cache_dir={cache}"]) == 0
+print(json.dumps(sorted(m for m in ("hashlib", "_hashlib") if m in sys.modules)))
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "child" / "sweep.csv").read_bytes() == (
+        tmp_path / "out" / "sweep.csv").read_bytes()
+    assert (tmp_path / "child" / "spectrum_0.25_0.9.csv").exists()
+    assert len(list(cache.iterdir())) == 17  # the sweep's 16 entries and the cold energies
+
+
 def test_solves_and_fits_load_only_scipys_compiled_modules(config_path, tmp_path):
     """A cold eigstats (band solve, inverse iteration, D_KL) and then a warm sweep (Brody
     fits, D_KL) write their usual bytes in a fresh process that loads SciPy's compiled

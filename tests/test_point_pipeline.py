@@ -1,6 +1,7 @@
 """One point pipeline: the sweep's point data agrees with the library route."""
 
 import contextlib
+import ctypes
 import itertools
 import json
 import math
@@ -485,3 +486,32 @@ def test_eigenvalues_are_stored_before_the_vector_solve(tmp_path, monkeypatch):
 
     monkeypatch.setattr(sweep, "diagonalize", no_solve)
     assert compute_point(params, cache=cache) == clean
+
+
+def test_a_band_solve_failing_its_certificate_stores_nothing(tmp_path, monkeypatch):
+    """A dsbevd that returns one eigenvalue moved by 1e-6 max|E| fails the trace and
+    Frobenius checks: the point raises, leaves no energies entry, and is an error row of
+    a sweep whose other point is on disk."""
+    good, bad = (ModelParams(j=6.0, n_cutoff=80, lambda_=lam, kappa=0.7) for lam in (0.3, 0.9))
+    cache = SpectrumCache(tmp_path)
+    clean = compute_point(good, cache=cache)
+    real = spectrum._lapack()
+
+    def dsbevd(*args):  # args[2] is the address of n and args[6] that of the eigenvalues
+        real[2](*args)
+        w = np.ctypeslib.as_array((ctypes.c_double * ctypes.c_int.from_address(args[2]).value)
+                                  .from_address(args[6]))
+        w[w.size // 2] += 1e-6 * np.max(np.abs(w))
+
+    monkeypatch.setattr(spectrum, "_lapack", lambda: (*real[:2], dsbevd))
+    with pytest.raises(ConvergenceFailure, match="tr H"):
+        compute_point_data(bad, cache=cache)
+    energies = cache.path(bad, Parity.EVEN, KIND_ENERGIES)
+    assert not energies.exists()
+    config = SweepConfig(base=good, kappa_grid=(0.7,), lambda_grid=(0.3, 0.9),
+                         cache_dir=tmp_path)
+    rows = run_sweep(config)
+    assert rows[0] == clean
+    assert rows[1].error.startswith("ConvergenceFailure: eigensolver failed: dsbevd eigenvalues")
+    assert rows[1].dim == 0 and math.isnan(rows[1].eta)
+    assert not energies.exists()

@@ -1,6 +1,7 @@
 """Diagonalization, window filtering, convergence checks and the spectrum cache."""
 
 import ctypes
+import hashlib
 import itertools
 import json
 import math
@@ -195,6 +196,11 @@ class TestBandedSolve:
         monkeypatch.setattr(spectrum, "_lapack", lambda: (None, None, dsbevd))
         with pytest.raises(error, match="dsbevd"):
             solve(ModelParams(lambda_=0.7, kappa=0.4, j=1.0, n_cutoff=4))
+
+    def test_certificate_passes_a_zero_matrix(self):
+        """Its sums are exactly 0 against a bound of exactly 0."""
+        assert np.array_equal(diagonalize(HamiltonianMatrix(np.zeros((2, 3)), None)).energies,
+                              np.zeros(3))
 
     @pytest.mark.parametrize("j, n_cutoff, sector", SMALL_BLOCKS)
     def test_vector_route_matches_evd_on_a_copy(self, j, n_cutoff, sector):
@@ -902,3 +908,49 @@ class TestKeyMemo:
         assert (cache.path(listed, Parity.EVEN, KIND_MID_HISTOGRAM, bins=57)
                 == cache.path(ModelParams(j=1.0, n_cutoff=8), Parity.EVEN, KIND_MID_HISTOGRAM,
                               bins=57))
+
+
+#: (kind, keyword arguments) of each payload kind's cache key.
+ENTRY_KINDS = [(KIND_ENERGIES, {}), (KIND_TAIL_WEIGHTS, {"tail_width": DEFAULT_TAIL_WIDTH}),
+               (KIND_MID_COEFFS, {}), (KIND_MID_HISTOGRAM, {"bins": DEFAULT_BINS})]
+
+
+def hashlib_name(kind, kwargs, kappa):
+    """The name of a j=2 entry, by hashlib.sha256 of its canonical key document."""
+    p = ModelParams(lambda_=0.7, kappa=kappa, j=2.0, n_cutoff=11)
+    key = json.dumps(cache_key(p, Parity.EVEN, kind, **kwargs), sort_keys=True,
+                     separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(key).hexdigest() + ".spec"
+
+
+class TestEntryNames:
+    """Entry names are the SHA-256 of the key document, whichever module computes it."""
+
+    @pytest.mark.parametrize("kappa", [0.0, -0.0])
+    @pytest.mark.parametrize("kind, kwargs", ENTRY_KINDS, ids=[k for k, _ in ENTRY_KINDS])
+    def test_name_is_the_hashlib_digest_of_the_key(self, tmp_path, kind, kwargs, kappa):
+        p = ModelParams(lambda_=0.7, kappa=kappa, j=2.0, n_cutoff=11)
+        assert (SpectrumCache(tmp_path).path(p, Parity.EVEN, kind, **kwargs).name
+                == hashlib_name(kind, kwargs, kappa))
+
+    def test_a_name_is_pinned(self, tmp_path):
+        p = ModelParams(lambda_=0.7, kappa=0.0, j=2.0, n_cutoff=11)
+        assert SpectrumCache(tmp_path).path(p, Parity.EVEN, KIND_ENERGIES).name == (
+            "1cfa42a2ac8d9ebb02881a01a637c265a6c811f054027885f1799c75edd3d8f6.spec")
+
+    def test_an_interpreter_without_builtin_hashes_names_through_hashlib(self, tmp_path):
+        probe = f"""
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None  # an import of either now fails
+import hashlib
+import dicke_chaos.cache
+from dicke_chaos import ModelParams, Parity, SpectrumCache
+cache = SpectrumCache({str(tmp_path)!r})
+names = [cache.path(ModelParams(lambda_=0.7, kappa=kappa, j=2.0, n_cutoff=11), Parity.EVEN,
+                    kind, **kwargs).name
+         for kappa in (0.0, -0.0) for kind, kwargs in {ENTRY_KINDS!r}]
+print(json.dumps([dicke_chaos.cache._sha256 is hashlib.sha256, names]))
+"""
+        assert run_probe(probe) == [True, [hashlib_name(kind, kwargs, kappa)
+                                           for kappa in (0.0, -0.0)
+                                           for kind, kwargs in ENTRY_KINDS]]
