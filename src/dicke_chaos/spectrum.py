@@ -4,23 +4,25 @@ Eigenvalues come from the band storage of H (LAPACK ``sbevd``, O(D^2 b) work and
 O(D b) memory for half-bandwidth b, against O(D^3) and 8 D^2 bytes dense).  The
 eigenvectors of the windowed states come from banded inverse iteration
 (:func:`windowed_eigenvectors`, LAPACK ``gbtrf``/``gbtrs``, O(D b^2) work and
-O(D b) memory per state), so neither route makes a D x D matrix.  All three
-routines are called through their pointers in ``scipy.linalg.cython_lapack``, which
-release the GIL, so a sweep's pool threads overlap in them (not in Python or numpy).
-Every inverse iteration runs one thread per slice of the windowed states, and cuts
-as many slices as the process may use cores (:func:`available_cores`, its CPU
-affinity, so ``taskset`` is the one way to limit them); all calls share one slot per
-core, so a lone solve uses every core and concurrent ones share them.  A slice is cut
-only between clusters of close levels: the vectors are the same bytes on any cores.
-The dense divide-and-conquer ``evd`` (``diagonalize(h, want_vectors=True)``) stays
-as the oracle the banded routes are tested against.
+O(D b) memory per state), so neither route makes a D x D matrix.  ``dsbevd`` comes from
+the OpenBLAS numpy maps at import where it exports one (:func:`_dsbevd`), and
+``dgbtrf``/``dgbtrs`` from ``scipy.linalg.cython_lapack`` (:func:`_lapack`); all three
+are called through ctypes functions that release the GIL, so a sweep's pool threads
+overlap in them (not in Python or numpy).  Every inverse iteration runs one thread per
+slice of the windowed states, and cuts as many slices as the process may use cores
+(:func:`available_cores`, its CPU affinity, so ``taskset`` is the one way to limit
+them); all calls share one slot per core, so a lone solve uses every core and concurrent
+ones share them.  A slice is cut only between clusters of close levels: the vectors are
+the same bytes on any cores.  The dense divide-and-conquer ``evd``
+(``diagonalize(h, want_vectors=True)``) stays as the oracle the banded routes are tested
+against.
 
 Every E/N window in the package is cut by ``_window_mask``: the analysis window
 here and in ``sweep.compute_point_data``, and the mid window in
 ``eigenstate_stats.collect_coefficients``.  ``tail_weights`` gives each windowed
 state's weight on the top Fock layers, the truncation diagnostic behind a sweep
-row's ``converged_fraction``.  The first solve loads ``cython_lapack`` alone, without
-the ``scipy.linalg`` package, so a process that only reads cached spectra loads no LAPACK.
+row's ``converged_fraction``.  An eigenvalue-only process maps numpy's OpenBLAS only;
+the first vector solve loads ``cython_lapack`` alone, without the ``scipy.linalg`` package.
 """
 
 from __future__ import annotations
@@ -89,10 +91,11 @@ def diagonalize(h: HamiltonianMatrix, want_vectors: bool = False) -> EigenDecomp
     """Full eigendecomposition of a symmetric Hamiltonian block.
 
     Uses LAPACK.  Eigenvalues alone come from the symmetric-band driver ``dsbevd``,
-    the routine ``scipy.linalg.eig_banded`` calls, here without the GIL, on a copy
-    of ``h.band``, which holds the whole matrix; no dense matrix is made, so this
-    route needs O(D b) memory at any D, and an O(D b) check certifies its eigenvalues
-    against tr H and ||H||_F^2 (``TRACE_TOL``).  With vectors, the dense
+    the routine ``scipy.linalg.eig_banded`` calls, here numpy's OpenBLAS build of it
+    where numpy exports one, else SciPy's (:func:`_dsbevd`; the same bits), without the
+    GIL, on a copy of ``h.band``, which holds the whole matrix; no dense matrix is made,
+    so this route needs O(D b) memory at any D, and an O(D b) check certifies its
+    eigenvalues against tr H and ||H||_F^2 (``TRACE_TOL``).  With vectors, the dense
     divide-and-conquer ``evd`` runs on a fresh ``h.entries`` and overwrites it with the
     eigenvectors, which come back in Fortran order (about 3 x 8 D^2 bytes at the peak
     with LAPACK's workspace).  That route is the test oracle of :func:`windowed_eigenvectors`,
@@ -110,15 +113,16 @@ def diagonalize(h: HamiltonianMatrix, want_vectors: bool = False) -> EigenDecomp
         If LAPACK reports an illegal argument (``info < 0``).
     """
     if not want_vectors:
+        dsbevd, integer, lengths = _dsbevd()
         ab = np.array(h.band, dtype=float, order="F")  # dsbevd overwrites its band
         w, z, work = np.empty(h.dim), np.empty(1), np.empty(max(1, 2 * h.dim))
-        iwork, info = np.empty(1, np.intc), np.zeros(1, np.intc)
-        ints = np.array([h.dim, ab.shape[0] - 1, ab.shape[0], 1, work.size], np.intc)
+        iwork, info = np.empty(1, integer), np.zeros(1, integer)
+        ints = np.array([h.dim, ab.shape[0] - 1, ab.shape[0], 1, work.size], integer)
         n, kd, ldab, one, lwork = (ints.ctypes.data + k * ints.itemsize for k in range(5))
         flags = np.frombuffer(b"NL", np.uint8)  # jobz: eigenvalues only; uplo: lower band
-        _lapack()[2](flags.ctypes.data, flags.ctypes.data + 1, n, kd, ab.ctypes.data, ldab,
-                     w.ctypes.data, z.ctypes.data, one, work.ctypes.data, lwork,
-                     iwork.ctypes.data, one, info.ctypes.data)
+        dsbevd(flags.ctypes.data, flags.ctypes.data + 1, n, kd, ab.ctypes.data, ldab,
+               w.ctypes.data, z.ctypes.data, one, work.ctypes.data, lwork,
+               iwork.ctypes.data, one, info.ctypes.data, *lengths)
         _check_arguments(info, "dsbevd")
         if info[0] > 0:
             raise ConvergenceFailure(f"eigensolver failed: dsbevd info {info[0]}")
@@ -186,9 +190,12 @@ def _scipy_compiled(module: str, public: str, *names: str) -> tuple:
 @cache
 def _lapack() -> tuple:
     """(dgbtrf, dgbtrs, dsbevd) of ``scipy.linalg.cython_lapack``, loaded alone at the
-    first solve, as ctypes functions of their capsules that take every argument by address
-    and release the GIL for the length of the call, so that threads solve at once.
-    scipy's f2py wrappers call the same routines but hold the GIL."""
+    first vector solve, as ctypes functions of their capsules that take every argument by
+    address and release the GIL for the length of the call, so that threads solve at once.
+    scipy's f2py wrappers call the same routines but hold the GIL.  Inverse iteration stays
+    here although numpy's OpenBLAS gives the same bits: its ``dgbtrf`` took about 8% longer
+    per factorization at full scale (b = 17), where a cold point makes 1,895 of them; this
+    ``dsbevd`` serves :func:`_dsbevd` only where numpy exports none."""
     import ctypes
     capi, = _scipy_compiled("linalg.cython_lapack", "scipy.linalg.cython_lapack", "__pyx_capi__")
     api = ctypes.pythonapi
@@ -202,6 +209,32 @@ def _lapack() -> tuple:
         return prototype(pointer(capsule, name(capsule)))
 
     return routine("dgbtrf", 8), routine("dgbtrs", 11), routine("dsbevd", 14)
+
+
+@cache
+def _dsbevd() -> tuple:
+    """(dsbevd, its integer type, its trailing arguments) for the eigenvalue-only solve.
+
+    numpy's linalg extension is linked against the OpenBLAS numpy maps at import, and a
+    ``ctypes.CDLL`` of the extension's loaded file finds that library's ILP64 ``dsbevd``
+    (``scipy_dsbevd_64_`` in numpy's wheels, else ``dsbevd_64_``) in its dependency scope,
+    so the lookup maps nothing.  That routine takes 64-bit integers, and gfortran's hidden
+    length (a ``size_t`` 1) of each of ``jobz`` and ``uplo`` last; it is a CDLL function,
+    so it releases the GIL for the length of the call.  Where numpy has no such symbol
+    (MKL, Accelerate, Windows, numpy < 2) it is the pointer of :func:`_lapack`, with
+    ``np.intc`` and no trailing arguments.  Both are ``dsbevd`` and give the same bits."""
+    import ctypes
+    try:
+        numpy_lapack = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        numpy_lapack = None
+    for symbol in ("scipy_dsbevd_64_", "dsbevd_64_"):
+        routine = getattr(numpy_lapack, symbol, None)
+        if routine is not None:
+            routine.restype = None
+            routine.argtypes = [ctypes.c_void_p] * 14 + [ctypes.c_size_t] * 2
+            return routine, np.int64, (1, 1)
+    return _lapack()[2], np.intc, ()
 
 
 def _check_arguments(info: np.ndarray, routine: str) -> None:

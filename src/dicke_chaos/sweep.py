@@ -377,12 +377,14 @@ def read_csv(path: str | Path) -> list[SweepResultRow]:
 
 
 def write_errors_sidecar(rows: Sequence[SweepResultRow], path: str | Path) -> bool:
-    """Write the error sidecar if any row failed; returns whether it was written."""
+    """Write the error sidecar if any row failed, else remove one an earlier run left;
+    returns whether it was written."""
     entries = [
         {"kappa": r.kappa, "lambda": r.lambda_, "error": r.error}
         for r in rows if r.error
     ]
     if not entries:
+        Path(path).unlink(missing_ok=True)
         return False
     _write_text(path, json.dumps(entries, indent=2) + "\n")
     return True

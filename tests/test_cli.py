@@ -160,6 +160,18 @@ print(json.dumps([seen, entries]))
         assert (tmp_path / "child" / name).read_bytes() == ref.read_bytes()
 
 
+def test_a_clean_sweep_removes_an_earlier_runs_errors(config_path, tmp_path):
+    """A j=2 grid has too few levels for eta and beta, so every row fails; a clean rerun
+    into the same directory leaves its sweep.csv and no errors file."""
+    args = ["sweep", "--config", str(config_path), "--set", f"cache_dir={tmp_path / 'cache'}"]
+    assert main([*args, "--set", "j=2", "--set", "n_cutoff=11"]) == 0
+    errors = tmp_path / "out" / "sweep_errors.json"
+    assert len(json.loads(errors.read_text())) == 4
+    assert main(args) == 0
+    assert not errors.exists()
+    assert all(math.isfinite(row.eta) for row in read_csv(tmp_path / "out" / "sweep.csv"))
+
+
 def configured(monkeypatch, *args):
     """The SweepConfig and cache that ``main`` hands a subcommand for these arguments."""
     seen = []

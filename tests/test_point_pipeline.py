@@ -495,15 +495,15 @@ def test_a_band_solve_failing_its_certificate_stores_nothing(tmp_path, monkeypat
     good, bad = (ModelParams(j=6.0, n_cutoff=80, lambda_=lam, kappa=0.7) for lam in (0.3, 0.9))
     cache = SpectrumCache(tmp_path)
     clean = compute_point(good, cache=cache)
-    real = spectrum._lapack()
+    real, integer, lengths = spectrum._dsbevd()
+    n_at = np.ctypeslib.as_ctypes_type(integer).from_address  # integers of the routine's width
 
     def dsbevd(*args):  # args[2] is the address of n and args[6] that of the eigenvalues
-        real[2](*args)
-        w = np.ctypeslib.as_array((ctypes.c_double * ctypes.c_int.from_address(args[2]).value)
-                                  .from_address(args[6]))
+        real(*args)
+        w = np.ctypeslib.as_array((ctypes.c_double * n_at(args[2]).value).from_address(args[6]))
         w[w.size // 2] += 1e-6 * np.max(np.abs(w))
 
-    monkeypatch.setattr(spectrum, "_lapack", lambda: (*real[:2], dsbevd))
+    monkeypatch.setattr(spectrum, "_dsbevd", lambda: (dsbevd, integer, lengths))
     with pytest.raises(ConvergenceFailure, match="tr H"):
         compute_point_data(bad, cache=cache)
     energies = cache.path(bad, Parity.EVEN, KIND_ENERGIES)

@@ -1,6 +1,7 @@
 """Diagonalization, window filtering, convergence checks and the spectrum cache."""
 
 import ctypes
+import glob
 import hashlib
 import itertools
 import json
@@ -190,10 +191,12 @@ class TestBandedSolve:
 
     @pytest.mark.parametrize("info, error", [(-1, RuntimeError), (1, ConvergenceFailure)])
     def test_band_solve_raises_on_lapack_info(self, monkeypatch, info, error):
-        def dsbevd(*args):  # its last argument is the address of info
-            ctypes.c_int.from_address(args[-1]).value = info
+        _, integer, lengths = spectrum._dsbevd()
 
-        monkeypatch.setattr(spectrum, "_lapack", lambda: (None, None, dsbevd))
+        def dsbevd(*args):  # args[13] is the address of info, an integer of the routine's width
+            np.ctypeslib.as_ctypes_type(integer).from_address(args[13]).value = info
+
+        monkeypatch.setattr(spectrum, "_dsbevd", lambda: (dsbevd, integer, lengths))
         with pytest.raises(error, match="dsbevd"):
             solve(ModelParams(lambda_=0.7, kappa=0.4, j=1.0, n_cutoff=4))
 
@@ -325,6 +328,100 @@ print(json.dumps({"errors": errors, "results": [len(seen), len(set(seen))],
         for _ in range(20):
             assert run_probe(probe) == {"errors": [], "results": [4, 1], "alive": 0,
                                         "packages": [], "one module": True}
+
+
+#: Makes every library look as if it lacked numpy's ``dsbevd`` symbols.
+HIDE_NUMPY_DSBEVD = """
+import ctypes
+symbol_of = ctypes.CDLL.__getitem__
+def hidden(lib, name):
+    if name.endswith("dsbevd_64_"):
+        raise AttributeError(name)
+    return symbol_of(lib, name)
+ctypes.CDLL.__getitem__ = hidden
+"""
+
+#: A cold spectrum and a cold spacing through the CLI, then what the process loaded.
+COLD_POINT_COMMANDS = """
+import glob, hashlib, json, os, sys
+import numpy as np
+os.makedirs(ROOT, exist_ok=True)
+from dicke_chaos import ModelParams, Parity, build_hamiltonian, diagonalize
+from dicke_chaos.cli import main
+from dicke_chaos.spectrum import _dsbevd
+def scipy_openblas():
+    if not os.path.exists("/proc/self/maps"):
+        return None
+    with open("/proc/self/maps") as maps:
+        return sorted({os.path.basename(line.split()[-1]) for line in maps
+                       if "libscipy_openblas-" in line})
+def digests(root):
+    return {os.path.relpath(path, root): hashlib.sha256(open(path, "rb").read()).hexdigest()
+            for path in sorted(glob.glob(os.path.join(root, "**", "*"), recursive=True))
+            if os.path.isfile(path)}
+energies = [hashlib.sha256(diagonalize(build_hamiltonian(
+                ModelParams(lambda_=lam, kappa=kappa, j=j, n_cutoff=n_cutoff), Parity.EVEN)
+            ).energies).hexdigest()
+            for j, n_cutoff, kappa, lam in ((6.0, 80, 0.7, 0.001), (8.0, 160, 0.5, 1.0))]
+config = os.path.join(ROOT, "config.json")
+with open(config, "w") as doc:
+    json.dump({"j": 6.0, "n_cutoff": 80, "kappa_grid": [0.5], "lambda_grid": [0.9]}, doc)
+point = ["--config", config, "--set", "kappa=0.5", "--set", "lambda=0.9",
+         "--out", os.path.join(ROOT, "out"), "--set", "cache_dir=" + os.path.join(ROOT, "cache")]
+assert main(["spectrum", *point]) == 0 and main(["spacing", *point]) == 0
+files = {kind: digests(os.path.join(ROOT, kind)) for kind in ("out", "cache")}
+found = {"integer": np.dtype(_dsbevd()[1]).name, "energies": energies, "files": files,
+         "cython_lapack": "scipy.linalg.cython_lapack" in sys.modules,
+         "scipy_openblas": scipy_openblas()}
+"""
+
+
+class TestNumpyDsbevd:
+    """The eigenvalue-only solve calls the ``dsbevd`` of the OpenBLAS numpy has mapped, and
+    falls back to ``cython_lapack``'s where numpy exports none, with the same bits."""
+
+    def test_the_routine_releases_the_gil(self):
+        """numpy's routine wherever numpy's linalg extension sees one; either way a ctypes
+        function without the PYTHONAPI flag, which drops the GIL for the call, so the
+        solves of a sweep's pool threads overlap."""
+        routine, integer, lengths = spectrum._dsbevd()
+        numpy_lapack = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        exported = any(hasattr(numpy_lapack, name) for name in ("scipy_dsbevd_64_", "dsbevd_64_"))
+        assert (integer, lengths) == ((np.int64, (1, 1)) if exported else (np.intc, ()))
+        assert isinstance(routine, ctypes._CFuncPtr)
+        assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI
+
+    def test_the_fallback_gives_the_bytes_of_the_numpy_route(self, tmp_path):
+        """A fresh process that cannot see numpy's symbol solves through cython_lapack:
+        energies at two points, a cold spacing histogram and every cache entry match."""
+        code = COLD_POINT_COMMANDS + "print(json.dumps(found))\n"
+        routes = [run_probe(hide + f"ROOT = {str(tmp_path / name)!r}\n" + code)
+                  for hide, name in (("", "numpy"), (HIDE_NUMPY_DSBEVD, "fallback"))]
+        numpy_route, fallback = routes
+        assert (fallback["integer"], fallback["cython_lapack"]) == ("int32", True)
+        assert [len(numpy_route["files"][kind]) for kind in ("out", "cache")] == [2, 1]
+        for key in ("energies", "files"):
+            assert numpy_route[key] == fallback[key]
+
+    @pytest.mark.skipif(spectrum._dsbevd()[1] is not np.int64,
+                        reason="numpy exports no dsbevd of its own")
+    def test_cold_eigenvalue_only_commands_map_one_openblas(self, tmp_path):
+        """A fresh cold spectrum and spacing never import cython_lapack, so they map no
+        SciPy OpenBLAS; forcing the vector route's routines in the same process maps it,
+        which shows the probe sees such a file."""
+        import scipy
+        wheel = glob.glob(os.path.join(os.path.dirname(scipy.__path__[0]), "scipy.libs",
+                                       "libscipy_openblas-*"))
+        found = run_probe(f"ROOT = {str(tmp_path)!r}\n" + COLD_POINT_COMMANDS + """
+from dicke_chaos.spectrum import _lapack
+_lapack()
+found["after"] = scipy_openblas()
+print(json.dumps(found))
+""")
+        assert found["integer"] == "int64" and not found["cython_lapack"]
+        if found["scipy_openblas"] is not None:  # Linux
+            assert found["scipy_openblas"] == []
+            assert bool(found["after"]) == bool(wheel)
 
 
 @dataclass

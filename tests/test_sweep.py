@@ -515,6 +515,8 @@ class TestErrorsSidecar:
         assert write_errors_sidecar([ok, bad], path)
         entries = json.loads(path.read_text())
         assert entries == [{"kappa": 0.0, "lambda": 0.2, "error": "boom"}]
+        assert not write_errors_sidecar([ok], path)  # an earlier run's sidecar goes
+        assert not path.exists()
 
 
 class TestBoundaryOutput:
