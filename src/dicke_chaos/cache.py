@@ -23,7 +23,8 @@ rename, so threads and processes can share one directory and a reader never sees
 partial write.  A write that fails with an OSError (a directory in the entry's place,
 or a full disk) skips only that entry, and every other store is still attempted; a
 cache object logs one warning for all its failed writes, so no cache fault changes
-an output byte.
+an output byte.  ``logging`` is imported by the first failed write, so a process whose
+writes all succeed never loads it.
 
 An entry's file name is the SHA-256 hex digest of its key document, computed by the
 interpreter's built-in hash (``_sha2`` from Python 3.12, ``_sha256`` before), which
@@ -35,7 +36,6 @@ interpreter built without them.
 from __future__ import annotations
 
 import json
-import logging
 import os
 import struct
 import threading
@@ -53,8 +53,6 @@ except ImportError:
         from _sha256 import sha256 as _sha256
     except ImportError:
         from hashlib import sha256 as _sha256
-
-_log = logging.getLogger(__name__)
 
 MAGIC = b"DKCHSPC1"
 VERSION = 1
@@ -170,6 +168,9 @@ class SpectrumCache:
             with self._lock:
                 first, self._warned = not self._warned, True
             if first:
-                _log.warning("spectrum cache %s not written: %s", self.root, exc)
+                import logging  # only a failed write loads it
+
+                logging.getLogger(__name__).warning("spectrum cache %s not written: %s",
+                                                    self.root, exc)
         finally:
             tmp.unlink(missing_ok=True)  # a no-op after the rename

@@ -4,7 +4,8 @@ Implements spectrum unfolding, the nearest-neighbor spacing distribution with
 its Poisson / Wigner-Dyson / Brody references, the eta indicator, adjacent
 spacing ratios with their Poisson / GOE references, and threshold scans that
 extract a chaos boundary lambda*(kappa) from sweep grids.  ``gammaln`` (SciPy's compiled
-ufunc, without ``scipy.special``) and ``numpy.polynomial`` load at their first use.
+ufunc, without ``scipy.special``) loads at its first use; :func:`unfold` does the arithmetic
+of numpy's ``Polynomial.fit`` itself, so ``numpy.polynomial`` never loads.
 """
 
 from __future__ import annotations
@@ -81,11 +82,14 @@ class UnfoldedSpectrum:
 def unfold(energies, fit_degree: int = DEFAULT_FIT_DEGREE) -> UnfoldedSpectrum:
     """Unfold a spectrum by a global polynomial fit of the counting function.
 
-    The cumulative staircase N(E) = #{k : E_k <= E} is fitted, in the arithmetic of
-    numpy's ``Polynomial.fit``, by a least-squares polynomial of the given degree on a
-    domain mapped to [-1, 1] (so affine maps of the energy axis leave the result as is).
-    Unfolded levels are the fitted values at the eigenvalues, re-sorted where
-    the fit is locally non-monotone.
+    The cumulative staircase N(E) = #{k : E_k <= E} is fitted by a least-squares
+    polynomial of the given degree on a domain mapped to [-1, 1] (so affine maps of the
+    energy axis leave the result as is).  Unfolded levels are the fitted values at the
+    eigenvalues, re-sorted where the fit is locally non-monotone.  The arithmetic is that
+    of numpy's ``Polynomial.fit``, step for step and so bit for bit, without loading
+    ``numpy.polynomial``: the domain map, a Vandermonde matrix of repeated products,
+    columns scaled to unit 2-norm, ``lstsq`` with rcond = len * eps, the coefficients
+    unscaled, and Horner's rule.
 
     Raises
     ------
@@ -99,16 +103,24 @@ def unfold(energies, fit_degree: int = DEFAULT_FIT_DEGREE) -> UnfoldedSpectrum:
         raise ValueError("energies must be a 1-d ascending array")
     if e.size < fit_degree + 10:
         raise TooFewLevels(f"need at least {fit_degree + 10} levels, got {e.size}")
-    if e[-1] - e[0] <= 0:
+    span = e[-1] - e[0]
+    if span <= 0:
         raise DegenerateFit("spectrum has zero span")
-    from numpy.polynomial import polynomial, polyutils
-    staircase = np.arange(1, e.size + 1, dtype=float)
-    x = polyutils.mapdomain(e, polyutils.getdomain(e), (-1.0, 1.0))
-    coef, (_, rank, _, _) = polynomial.polyfit(x, staircase, fit_degree, full=True)
+    x = (-e[-1] - e[0]) / span + 2.0 / span * e
+    vander = np.empty((fit_degree + 1, e.size))  # row k holds x**k
+    vander[0] = x * 0 + 1
+    for k in range(1, fit_degree + 1):
+        vander[k] = vander[k - 1] * x
+    norms = np.sqrt(np.square(vander).sum(1))  # none is 0: x[-1] is 1 to rounding
+    coef, _, rank, _ = np.linalg.lstsq(vander.T / norms, np.arange(1.0, e.size + 1),
+                                       e.size * np.finfo(float).eps)
     if rank < fit_degree + 1:
         raise DegenerateFit(f"counting-function fit is rank-deficient (rank {rank})")
-    levels = np.sort(polynomial.polyval(x, coef), kind="stable")
-    return UnfoldedSpectrum(spacings=np.diff(levels))
+    coef = coef / norms
+    fitted = coef[-1] + x * 0
+    for c in coef[-2::-1]:
+        fitted = c + fitted * x
+    return UnfoldedSpectrum(spacings=np.diff(np.sort(fitted, kind="stable")))
 
 
 def _nondegenerate(s: np.ndarray) -> np.ndarray:

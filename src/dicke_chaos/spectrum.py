@@ -32,7 +32,6 @@ import importlib.util
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 
@@ -349,6 +348,8 @@ def windowed_eigenvectors(band: np.ndarray, energies: np.ndarray,
                     raise ConvergenceFailure(f"inverse iteration did not converge for state {i}")
                 _fix_phases(x[:, None])  # column by column: no D x k temporary
                 vectors[:, col] = x
+
+    from concurrent.futures import ThreadPoolExecutor  # an eigenvalue-only run never loads it
 
     bounds = _slice_bounds(windowed, tol, available_cores())
     with ThreadPoolExecutor(max(1, bounds.size - 1)) as pool:

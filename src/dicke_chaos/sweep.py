@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from functools import cache as memoize, partial  # `cache` is a SpectrumCache parameter
 from pathlib import Path
@@ -285,6 +284,13 @@ def compute_point(params: ModelParams, fit_degree: int = DEFAULT_FIT_DEGREE,
     if notes:
         row.error = "; ".join(notes)
     return row
+
+
+def ThreadPoolExecutor(max_workers: int):
+    """The pool :func:`run_sweep` runs its misses in: ``concurrent.futures``' class, imported
+    at the first miss so an all-hit sweep never loads it.  Tests patch this name."""
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(max_workers)
 
 
 def run_sweep(config: SweepConfig) -> list[SweepResultRow]:

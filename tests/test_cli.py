@@ -93,8 +93,10 @@ print(json.dumps(seen))
 
 
 def test_calls_that_solve_no_vector_load_no_openssl(config_path, tmp_path):
-    """A warm sweep, boundary and a cold eigenvalue-only spectrum name their cache entries
-    with the interpreter's built-in SHA-256, so the process never imports hashlib."""
+    """A warm sweep, boundary and a cold eigenvalue-only spectrum and spacing name their cache
+    entries with the interpreter's built-in SHA-256, so the process never imports hashlib; it
+    starts no thread, writes every entry and unfolds without numpy.polynomial, so it never
+    imports logging, concurrent.futures or numpy.polynomial either."""
     cache = tmp_path / "cache"
     assert main(["sweep", "--config", str(config_path), "--set", f"cache_dir={cache}"]) == 0
     env = child_env()
@@ -108,15 +110,20 @@ assert cli.main(["sweep", "--config", {config!r}, "--out", {out!r},
 assert cli.main(["boundary", "--config", {config!r}, "--out", {out!r}]) == 0
 assert cli.main(["spectrum", "--config", {config!r}, "--out", {out!r}, "--set", "kappa=0.25",
                  "--set", "lambda=0.9", "--set", "cache_dir={cache}"]) == 0
-print(json.dumps(sorted(m for m in ("hashlib", "_hashlib") if m in sys.modules)))
+assert cli.main(["spacing", "--config", {config!r}, "--out", {out!r}, "--set", "kappa=0.75",
+                 "--set", "lambda=0.6", "--set", "cache_dir={cache}"]) == 0
+print(json.dumps([sorted(m for m in ("hashlib", "_hashlib") if m in sys.modules),
+                  sorted(m for m in ("logging", "concurrent.futures", "numpy.polynomial")
+                         if m in sys.modules)]))
 """
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, check=True, timeout=120)
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    assert json.loads(proc.stdout.splitlines()[-1]) == [[], []]
     assert (tmp_path / "child" / "sweep.csv").read_bytes() == (
         tmp_path / "out" / "sweep.csv").read_bytes()
     assert (tmp_path / "child" / "spectrum_0.25_0.9.csv").exists()
-    assert len(list(cache.iterdir())) == 17  # the sweep's 16 entries and the cold energies
+    assert (tmp_path / "child" / "hist_spacing_0.75_0.6.json").exists()
+    assert len(list(cache.iterdir())) == 18  # the sweep's 16 entries and two cold energies
 
 
 def test_solves_and_fits_load_only_scipys_compiled_modules(config_path, tmp_path):

@@ -154,3 +154,29 @@ def test_a_full_disk_costs_one_stderr_line_and_no_byte(tmp_path, configs):
         f"spectrum cache {cache_dir} not written: [Errno 28] No space left on device"]
     assert files(tmp_path / "full") == files(tmp_path / "no_cache")
     assert list(cache_dir.iterdir()) == []
+
+
+def test_a_failed_write_warns_once_in_a_process_that_never_loaded_logging(tmp_path, configs):
+    """A cold spectrum starts no thread, so nothing has imported logging when its one store
+    fails (a directory stands where the energies entry goes): the run exits 0, writes a
+    no-cache run's CSV, and logging's last-resort handler prints one stderr line naming the
+    cache directory and the error."""
+    point, _ = configs
+    cache_dir = tmp_path / "cache"
+    config = read_config(point, [("cache_dir", str(cache_dir))])
+    SpectrumCache(cache_dir).path(config.base, Parity.EVEN, KIND_ENERGIES).mkdir()
+
+    def spectrum(out, cache):
+        proc = subprocess.run([sys.executable, "-m", "dicke_chaos.cli", "spectrum", "--config",
+                               str(point), "--out", str(out), "--set", f"cache_dir={cache}"],
+                              env=child_env(**{CACHE_ENV_VAR: ""}), capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return proc
+
+    assert spectrum(tmp_path / "no_cache", "").stderr == ""
+    stderr = spectrum(tmp_path / "blocked", cache_dir).stderr.splitlines()
+    assert len(stderr) == 1
+    assert stderr[0].startswith(f"spectrum cache {cache_dir} not written: [Errno 21] ")
+    assert files(tmp_path / "blocked") == files(tmp_path / "no_cache")
+    assert [path.is_dir() for path in cache_dir.iterdir()] == [True]

@@ -288,7 +288,7 @@ SPECTRUM_NAMES = ["poisson", "goe", "fence with ties", "smoke lambda=0.2", "smok
 class TestBitForBit:
     """The statistics skip numpy's per-call wrappers; the bits stay those of the wrapped calls."""
 
-    @pytest.mark.parametrize("fit_degree", [DEFAULT_FIT_DEGREE, 6])
+    @pytest.mark.parametrize("fit_degree", [DEFAULT_FIT_DEGREE, 6, 1, 0])
     @pytest.mark.parametrize("name", SPECTRUM_NAMES)
     def test_unfold_is_polynomial_fit(self, spectra, name, fit_degree):
         energies = spectra[name]
