@@ -21,8 +21,8 @@ Every E/N window in the package is cut by ``_window_mask``: the analysis window
 here and in ``sweep.compute_point_data``, and the mid window in
 ``eigenstate_stats.collect_coefficients``.  ``tail_weights`` gives each windowed
 state's weight on the top Fock layers, the truncation diagnostic behind a sweep
-row's ``converged_fraction``.  An eigenvalue-only process maps numpy's OpenBLAS only;
-the first vector solve loads ``cython_lapack`` alone, without the ``scipy.linalg`` package.
+row's ``converged_fraction``.  An eigenvalue-only process maps numpy's OpenBLAS only; the
+first vector solve loads ``cython_lapack`` alone (no ``scipy.linalg``) before its D x k array.
 """
 
 from __future__ import annotations
@@ -192,9 +192,9 @@ def _lapack() -> tuple:
     first vector solve, as ctypes functions of their capsules that take every argument by
     address and release the GIL for the length of the call, so that threads solve at once.
     scipy's f2py wrappers call the same routines but hold the GIL.  Inverse iteration stays
-    here although numpy's OpenBLAS gives the same bits: its ``dgbtrf`` took about 8% longer
-    per factorization at full scale (b = 17), where a cold point makes 1,895 of them; this
-    ``dsbevd`` serves :func:`_dsbevd` only where numpy exports none."""
+    here although numpy's OpenBLAS gives the same bits: with numpy 2.4 and SciPy 1.17 its
+    ``dgbtrf`` took 7-8% longer per factorization at full scale (b = 17), where a cold point
+    makes 1,895 of them; this ``dsbevd`` serves :func:`_dsbevd` only where numpy exports none."""
     import ctypes
     capi, = _scipy_compiled("linalg.cython_lapack", "scipy.linalg.cython_lapack", "__pyx_capi__")
     api = ctypes.pythonapi
@@ -285,13 +285,13 @@ def windowed_eigenvectors(band: np.ndarray, energies: np.ndarray,
     RuntimeError
         If LAPACK reports an illegal argument (``info < 0``).
     """
+    dgbtrf, dgbtrs, _ = _lapack()  # loads cython_lapack, if it must, before the D x k array
     dim, b = band.shape[1], band.shape[0] - 1
     vectors = np.zeros((dim, indices.size), order="F")
     if b == 0:
         order = np.argsort(band[0], kind="stable")
         vectors[order[indices], np.arange(indices.size)] = 1.0
         return vectors
-    dgbtrf, dgbtrs, _ = _lapack()
     scale = float(np.max(np.abs(energies)))
     tiny_pivot = np.finfo(float).eps * scale
     tol = CLUSTER_TOL * scale

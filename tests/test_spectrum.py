@@ -376,6 +376,19 @@ found = {"integer": np.dtype(_dsbevd()[1]).name, "energies": energies, "files": 
 """
 
 
+#: After COLD_POINT_COMMANDS: a cold eigstats and a cold one-point sweep, each in a cache of
+#: its own, and the digests of what they wrote.
+COLD_VECTOR_COMMANDS = """
+def args(out, cache):
+    return ["--config", config, "--out", os.path.join(ROOT, out),
+            "--set", "cache_dir=" + os.path.join(ROOT, cache)]
+assert main(["eigstats", *args("eigstats", "eigstats_cache"), *point[2:6]]) == 0
+assert main(["sweep", *args("sweep", "sweep_cache")]) == 0
+found["vector_files"] = {kind: digests(os.path.join(ROOT, kind))
+                         for kind in ("eigstats", "eigstats_cache", "sweep", "sweep_cache")}
+"""
+
+
 class TestNumpyDsbevd:
     """The eigenvalue-only solve calls the ``dsbevd`` of the OpenBLAS numpy has mapped, and
     falls back to ``cython_lapack``'s where numpy exports none, with the same bits."""
@@ -393,14 +406,16 @@ class TestNumpyDsbevd:
 
     def test_the_fallback_gives_the_bytes_of_the_numpy_route(self, tmp_path):
         """A fresh process that cannot see numpy's symbol solves through cython_lapack:
-        energies at two points, a cold spacing histogram and every cache entry match."""
-        code = COLD_POINT_COMMANDS + "print(json.dumps(found))\n"
+        energies at two points, a cold spacing histogram, a cold eigstats and one-point
+        sweep, and every cache entry match."""
+        code = COLD_POINT_COMMANDS + COLD_VECTOR_COMMANDS + "print(json.dumps(found))\n"
         routes = [run_probe(hide + f"ROOT = {str(tmp_path / name)!r}\n" + code)
                   for hide, name in (("", "numpy"), (HIDE_NUMPY_DSBEVD, "fallback"))]
         numpy_route, fallback = routes
         assert (fallback["integer"], fallback["cython_lapack"]) == ("int32", True)
         assert [len(numpy_route["files"][kind]) for kind in ("out", "cache")] == [2, 1]
-        for key in ("energies", "files"):
+        assert all(numpy_route["vector_files"].values())
+        for key in ("energies", "files", "vector_files"):
             assert numpy_route[key] == fallback[key]
 
     @pytest.mark.skipif(spectrum._dsbevd()[1] is not np.int64,
@@ -596,6 +611,25 @@ class TestInverseIteration:
             tracemalloc.stop()
         assert h.dim == vectors.shape[0] == 1369
         assert peak < 8 * h.dim**2
+
+    def test_lapack_is_resolved_before_the_vectors_are_allocated(self, monkeypatch):
+        """Any library load of the vector route comes before its D x k array exists, so a
+        process short of memory fails on that array, not inside the load."""
+        band, energies, indices = windowed_problem(0.9)
+        real, held = spectrum._lapack, []
+
+        def resolve():
+            held.append(tracemalloc.get_traced_memory()[0])
+            return real()
+
+        monkeypatch.setattr(spectrum, "_lapack", resolve)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            vectors = windowed_eigenvectors(band, energies, indices)
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 1 and held[0] - before < vectors.nbytes
 
 
 # the tight-cluster, near-tie and chaotic points of TestInverseIteration
