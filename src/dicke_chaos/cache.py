@@ -20,11 +20,11 @@ the entry.  So the coefficients are read only to make a missing histogram, and
 deleting their entries costs a vector solve only when one is made.  Each entry is
 written whole to a per-thread temporary file and moved into place by an atomic
 rename, so threads and processes can share one directory and a reader never sees a
-partial write.  A write that fails with an OSError (a directory in the entry's place,
-or a full disk) skips only that entry, and every other store is still attempted; a
-cache object logs one warning for all its failed writes, so no cache fault changes
-an output byte.  ``logging`` is imported by the first failed write, so a process whose
-writes all succeed never loads it.
+partial write.  The first write makes the directory.  A write that fails with an OSError
+(a directory that cannot be made, or one in the entry's place; a full disk) skips only
+that entry, and every other store is still attempted; a cache object logs one warning
+for all its failed writes, so no cache fault changes an output byte.  Only a failed
+write imports ``logging``, so a process whose writes all succeed never loads it.
 
 An entry's file name is the SHA-256 hex digest of its key document, computed by the
 interpreter's built-in hash (``_sha2`` from Python 3.12, ``_sha256`` before), which
@@ -99,11 +99,11 @@ def cache_key(params: ModelParams, sector: Parity, kind: str,
 
 
 class SpectrumCache:
-    """Directory of float64 payloads keyed by parameter hash."""
+    """Directory of float64 payloads keyed by parameter hash.  The first store makes the
+    directory; where it cannot be made (a regular file at or above it), a store fails."""
 
     def __init__(self, root: str | Path):
         self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
         self._entries: dict[tuple, tuple[bytes, Path]] = {}  # _entry's memo
         self._lock = threading.Lock()
         self._warned = False  # set by the first failed store; later failures log nothing
@@ -147,16 +147,17 @@ class SpectrumCache:
     def store(self, params: ModelParams, sector: Parity, kind: str,
               values: np.ndarray, tail_width: int | None = None,
               bins: int | None = None) -> None:
-        """Write one payload through an atomic rename, replacing any entry already there
-        (it is only called after a miss, so that entry was unusable).  If the write or the
-        rename fails, the temporary file is removed.  An OSError then skips this entry
-        alone: the first of this cache is logged as one warning naming the cache
-        directory, later ones silently, and every later store is still attempted.  Any
-        other exception (KeyboardInterrupt, say) propagates."""
+        """Make the cache directory if it is missing, then write one payload through an
+        atomic rename, replacing any entry already there (only a miss calls it, so that
+        entry was unusable).  If a step fails, any temporary file is removed; an OSError
+        (a directory that cannot be made, say) skips this entry alone, the first of this
+        cache logged as one warning naming the directory and later ones silently, and
+        every later store is still attempted.  Any other exception propagates."""
         key, path = self._entry(params, sector, kind, tail_width, bins)
         arr = np.ascontiguousarray(values, dtype="<f8")
         tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
         try:
+            self.root.mkdir(parents=True, exist_ok=True)
             with open(tmp, "wb") as fh:
                 fh.write(MAGIC)
                 fh.write(struct.pack("<II", VERSION, len(key)))
@@ -173,4 +174,5 @@ class SpectrumCache:
                 logging.getLogger(__name__).warning("spectrum cache %s not written: %s",
                                                     self.root, exc)
         finally:
-            tmp.unlink(missing_ok=True)  # a no-op after the rename
+            if tmp.parent.is_dir():  # not when the root is, or is below, a regular file
+                tmp.unlink(missing_ok=True)  # a no-op after the rename

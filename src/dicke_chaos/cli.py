@@ -4,8 +4,8 @@ All subcommands read one JSON config (--config) and accept repeatable
 --set KEY=VALUE overrides.  ``main`` turns --set, then --out and --workers, into
 (key, value) pairs in that order, so the flags win over --set, which wins over the
 file; ``sweep.read_config`` reads the file and the pairs once into the SweepConfig
-every subcommand uses.  Exit codes: 0 success, 1 usage error (any unknown key or
-malformed or out-of-range value), 2 runtime error, 130 interrupted (Ctrl-C).
+every subcommand uses.  Exit codes, which no cache fault changes: 0 success, 1 usage
+error (an unknown key, a malformed or out-of-range value), 2 runtime error, 130 Ctrl-C.
 """
 
 from __future__ import annotations
@@ -21,12 +21,14 @@ from .eigenstate_stats import binned_kl_divergence, build_histogram
 from .errors import EmptyWindow, NonRectangularGrid, UsageError
 from .sweep import (
     SweepConfig,
+    _fmt,
     _write_text,
     boundary_from_rows,
     check_grids,
     compute_point_data,
     histogram_name,
     level_statistics,
+    point_suffix,
     read_config,
     read_csv,
     run_sweep,
@@ -84,14 +86,11 @@ def _write_point_histogram(config: SweepConfig, kind: str, hist, meta: dict) -> 
 def cmd_spectrum(config: SweepConfig, cache) -> list[Path]:
     params = config.base
     data = compute_point_data(params, cache=cache, want_vectors=False)
-    windowed = data.windowed
-    if windowed.size == 0:
+    if data.windowed.size == 0:
         raise EmptyWindow("no eigenvalue inside the energy window")
-    path = config.output_dir / (
-        f"spectrum_{format(params.kappa, 'g')}_{format(params.lambda_, 'g')}.csv"
-    )
+    path = config.output_dir / f"spectrum_{point_suffix(params.kappa, params.lambda_)}.csv"
     lines = ["index,energy"]
-    lines += [f"{i},{format(e, '.17g')}" for i, e in zip(data.window_indices, windowed)]
+    lines += [f"{i},{_fmt(e)}" for i, e in zip(data.window_indices, data.windowed)]
     _write_text(path, "\n".join(lines) + "\n")
     return [path]
 
@@ -171,9 +170,6 @@ _COMMANDS = {
     "boundary": (cmd_boundary, "extract boundary curves from an existing sweep.csv"),
 }
 
-#: The subcommands that read no spectrum cache, so ``main`` opens (and creates) none for them.
-_CACHELESS = frozenset({"boundary"})
-
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
@@ -189,11 +185,7 @@ def main(argv: list[str] | None = None) -> int:
             config.output_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise UsageError(f"cannot create output directory {config.output_dir}: {exc}") from exc
-        try:
-            cache = (SpectrumCache(config.cache_dir)
-                     if config.cache_dir is not None and args.command not in _CACHELESS else None)
-        except OSError as exc:
-            raise UsageError(f"cannot create cache directory {config.cache_dir}: {exc}") from exc
+        cache = SpectrumCache(config.cache_dir) if config.cache_dir is not None else None
         handler, _ = _COMMANDS[args.command]
         written = handler(config, cache)
     except UsageError as exc:

@@ -408,8 +408,13 @@ def write_histogram(hist: Histogram, path: str | Path, meta: Mapping | None = No
     _write_text(path, json.dumps(doc, indent=2, allow_nan=False) + "\n")
 
 
+def point_suffix(kappa: float, lam: float) -> str:
+    """``<kappa>_<lambda>``, which ends the name of each file a point command writes."""
+    return f"{format(float(kappa), 'g')}_{format(float(lam), 'g')}"
+
+
 def histogram_name(kind: str, kappa: float, lam: float) -> str:
-    return f"hist_{kind}_{format(float(kappa), 'g')}_{format(float(lam), 'g')}"
+    return f"hist_{kind}_{point_suffix(kappa, lam)}"
 
 
 def boundary_from_rows(

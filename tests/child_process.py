@@ -1,5 +1,6 @@
-"""Running this checkout's package in a fresh Python process."""
+"""Running this checkout's package in a fresh Python process, and reading what it wrote."""
 
+import json
 import os
 import subprocess
 import sys
@@ -26,3 +27,18 @@ def run_cli(*args, timeout: float = 120, **kwargs) -> subprocess.CompletedProces
                           **kwargs)
     assert proc.returncode == 0, proc.stderr
     return proc
+
+
+def run_probe(code: str, **variables: str):
+    """The JSON value that a fresh Python process running ``code``, with ``variables`` set in
+    its environment, prints last."""
+    out = subprocess.run([sys.executable, "-c", code], env=child_env(**variables),
+                         capture_output=True, text=True, check=True, timeout=120)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def files(directory) -> dict[str, bytes]:
+    """Every file in ``directory``, by name; there must be some."""
+    found = {path.name: path.read_bytes() for path in directory.iterdir()}
+    assert found, f"{directory} is empty"
+    return found

@@ -1,7 +1,8 @@
 """Cache faults never change an output byte.  An entry a run cannot read is a miss and is
-solved again; a write the cache cannot make is skipped, with one warning naming the cache
-directory, and the run goes on storing every other entry.  Tests may run as root, where
-``chmod`` blocks nothing, so every fault is injected by patching."""
+solved again; a write the cache cannot make, its directory included, is skipped, with one
+warning naming the cache directory, and the run goes on storing every other entry.  Tests
+may run as root, where ``chmod`` blocks nothing, so every fault but a regular file in the
+directory's place is injected by patching."""
 
 import errno
 import json
@@ -16,7 +17,9 @@ from dicke_chaos import SpectrumCache
 from dicke_chaos.cache import KIND_ENERGIES, KIND_MID_COEFFS
 from dicke_chaos.cli import main
 from dicke_chaos.model import Parity
-from dicke_chaos.sweep import CACHE_ENV_VAR, read_config
+from dicke_chaos.sweep import CACHE_ENV_VAR, read_config, run_sweep
+
+from child_process import files
 
 #: A 2 x 2 grid in which no point fails, so a sweep writes no errors sidecar; the point
 #: commands run at kappa = 0.7, lambda = 0.9, the grid's last point.
@@ -24,20 +27,18 @@ CONFIG = {"j": 6, "n_cutoff": 80, "kappa": 0.7, "lambda": 0.9,
           "kappa_grid": [0, 0.7], "lambda_grid": [0.2, 0.9]}
 #: Every command runs in this order; ``boundary`` reads the sweep's csv and no cache.
 COMMANDS = ("sweep", "boundary", "eigstats", "spacing")
+#: The commands that compute a spectrum, so each opens the cache.
+COMPUTING = ("spectrum", "spacing", "ratio", "eigstats", "sweep")
 
 
-def files(directory) -> dict[str, bytes]:
-    return {path.name: path.read_bytes() for path in directory.iterdir()}
-
-
-def run_all(config, out, cache_dir=None, workers=1, caplog=None):
-    """Run COMMANDS into ``out`` on ``cache_dir`` (no cache if None); return the files
+def run_all(config, out, cache_dir=None, workers=1, caplog=None, commands=COMMANDS):
+    """Run ``commands`` into ``out`` on ``cache_dir`` (no cache if None); return the files
     written and, with ``caplog``, the lines each command logged."""
     args = ["--config", str(config), "--out", str(out)]
     if cache_dir is not None:
         args += ["--set", f"cache_dir={cache_dir}"]
     logged = {}
-    for command in COMMANDS:
+    for command in commands:
         if caplog is not None:
             caplog.clear()
         assert main([command, *args, *(["--workers", str(workers)] * (command == "sweep"))]) == 0
@@ -108,7 +109,7 @@ def store_permission_error(monkeypatch, cache, points):
 
 def directory_at_an_entry(monkeypatch, cache, points):
     entry = cache.path(points[-1], Parity.EVEN, KIND_ENERGIES)
-    entry.mkdir()
+    entry.mkdir(parents=True)
     return f"[Errno {errno.EISDIR}] {os.strerror(errno.EISDIR)}", [entry]
 
 
@@ -177,3 +178,31 @@ def test_a_cache_fault_changes_no_output_byte(tmp_path, monkeypatch, caplog, ref
                   else set())
     assert files(cache_dir) == {name: blob for name, blob in clean_entries.items()
                                 if name not in never_made}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("below", [False, True], ids=["a_regular_file", "below_a_regular_file"])
+def test_a_cache_directory_that_cannot_be_made_changes_no_output_byte(
+        tmp_path, monkeypatch, caplog, reference, below, workers):
+    """With ``cache_dir`` a regular file, or below one, no store can make the directory:
+    every command that computes exits 0, writes a no-cache run's bytes and logs one line
+    naming the cache directory and the error, the file is left as it was, and
+    ``run_sweep`` returns a no-cache sweep's rows."""
+    config = reference[0]
+    monkeypatch.delenv(CACHE_ENV_VAR, raising=False)
+    blocker = tmp_path / "a_file"
+    blocker.write_bytes(b"")
+    cache_dir, code = (blocker / "cache", errno.ENOTDIR) if below else (blocker, errno.EEXIST)
+    outputs, _ = run_all(config, tmp_path / "no_cache", commands=COMPUTING)
+    blocked, logged = run_all(config, tmp_path / "blocked", cache_dir, workers, caplog,
+                              COMPUTING)
+    assert blocked == outputs
+    error = f"spectrum cache {cache_dir} not written: [Errno {code}] {os.strerror(code)}"
+    assert {command: [line.startswith(error) for line in lines]
+            for command, lines in logged.items()} == {command: [True] for command in COMPUTING}
+    assert blocker.read_bytes() == b""
+
+    grid = replace(read_config(config), workers=workers)
+    caplog.clear()
+    assert run_sweep(replace(grid, cache_dir=cache_dir)) == run_sweep(grid)
+    assert len(caplog.messages) == 1 and caplog.messages[0].startswith(error)

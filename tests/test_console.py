@@ -18,7 +18,7 @@ from dicke_chaos.cli import main
 from dicke_chaos.spectrum import DEFAULT_TAIL_WIDTH
 from dicke_chaos.sweep import CACHE_ENV_VAR, read_config
 
-from child_process import child_env, run_cli
+from child_process import child_env, files, run_cli
 from histogram_io import read_strict_json
 
 COMMANDS = ("spectrum", "spacing", "ratio", "eigstats", "sweep", "boundary")
@@ -34,13 +34,6 @@ def configs(tmp_path):
     grid.write_text(json.dumps({"j": 6, "n_cutoff": 80, "kappa_grid": [0, 0.7],
                                 "lambda_grid": [0, 0.9]}))
     return point, grid
-
-
-def files(directory) -> dict[str, bytes]:
-    """Every file in ``directory``, by name; there must be some."""
-    found = {path.name: path.read_bytes() for path in directory.iterdir()}
-    assert found, f"{directory} is empty"
-    return found
 
 
 @pytest.mark.parametrize("command", [None, *COMMANDS])
@@ -164,7 +157,7 @@ def test_a_failed_write_warns_once_in_a_process_that_never_loaded_logging(tmp_pa
     point, _ = configs
     cache_dir = tmp_path / "cache"
     config = read_config(point, [("cache_dir", str(cache_dir))])
-    SpectrumCache(cache_dir).path(config.base, Parity.EVEN, KIND_ENERGIES).mkdir()
+    SpectrumCache(cache_dir).path(config.base, Parity.EVEN, KIND_ENERGIES).mkdir(parents=True)
 
     def spectrum(out, cache):
         proc = subprocess.run([sys.executable, "-m", "dicke_chaos.cli", "spectrum", "--config",

@@ -8,7 +8,6 @@ import json
 import math
 import os
 import struct
-import subprocess
 import sys
 import threading
 import time
@@ -45,7 +44,7 @@ from dicke_chaos.spectrum import (CLUSTER_TOL, DEFAULT_TAIL_TOL, DEFAULT_TAIL_WI
                                   _slice_bounds, _window_mask, tail_weights)
 from dicke_chaos.sweep import compute_point_data
 
-from child_process import child_env
+from child_process import run_probe
 
 
 def solve(params, sector=Parity.EVEN, want_vectors=False):
@@ -227,13 +226,6 @@ class TestBandedSolve:
                 == {**mid, "kind": KIND_MID_HISTOGRAM, "bins": 57})
         with pytest.raises(ValueError, match="bins"):
             cache_key(p, Parity.EVEN, KIND_MID_HISTOGRAM)
-
-
-def run_probe(code: str) -> dict:
-    """The JSON object a fresh Python process running ``code`` prints last."""
-    out = subprocess.run([sys.executable, "-c", code], env=child_env(), capture_output=True,
-                         text=True, check=True, timeout=120)
-    return json.loads(out.stdout.splitlines()[-1])
 
 
 #: Imports of a probe that loads SciPy's compiled modules through the package.
